@@ -12,13 +12,19 @@ shard work externally.  Both are overridden by explicit flags.
 Generator specs for the holonomy commands: "rot:0.25", "dbl",
 "aff:k=1,b=1/2", "mob:a,b,c,d".  Lists are separated by ';' (the mob
 entries use commas internally).  Words act rightmost first.
+
+Each subcommand is one row of COMMANDS: (command path, help, flag
+specs, handler).  run() builds the parser from the table and wraps the
+handler's `results` in the report envelope.  The report's `inputs` echo
+the flags: key = flag name with '-' turned into '_', value = the parsed
+value, None left out.  A handler whose echo differs edits `inputs` in
+place; `inputs["seed"]` is also the provenance seed.
 """
 
 import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .errors import DomainError
@@ -52,21 +58,6 @@ def _env_int(name):
         raise UsageError("%s must be an integer, got %r" % (name, val))
 
 
-def _report(command, inputs, results, seed=None):
-    return {
-        "schema": SCHEMA_ID,
-        "command": command,
-        "inputs": inputs,
-        "results": results,
-        "provenance": {
-            "tool": "minfol",
-            "version": __version__,
-            "seed": seed,
-            "threads": _env_int("MINFOL_THREADS"),
-        },
-    }
-
-
 def _flatten(obj, prefix, rows):
     if isinstance(obj, dict):
         for key in sorted(obj):
@@ -87,15 +78,27 @@ def _emit(report, tsv):
         sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
 
 
-def _fraction_str(x):
-    return str(x)
+def _int_list(text):
+    try:
+        return tuple(int(p) for p in text.replace(";", ",").split(",") if p)
+    except ValueError:
+        raise UsageError("expected a comma-separated integer list, got %r"
+                         % text)
 
 
-# ---------------------------------------------------------------- origami
+def _chunks(text):
+    return [c.strip() for c in text.split(";") if c.strip()]
+
+
+def _gen_list(text):
+    out = [hol.parse_generator(chunk) for chunk in _chunks(text)]
+    if not out:
+        raise UsageError("no generators in %r" % text)
+    return out
 
 
 def _origami_from_args(args):
-    if getattr(args, "name", None):
+    if args.name:
         return ori.named_origami(args.name)
     if not (args.sigma_h and args.sigma_v):
         raise UsageError("give either --name or both --sigma-h and --sigma-v")
@@ -104,38 +107,19 @@ def _origami_from_args(args):
         # size inferred from the largest label in either permutation
         n = max(len(perms.parse_cycles(args.sigma_h, None)),
                 len(perms.parse_cycles(args.sigma_v, None)))
-    sh = perms.parse_cycles(args.sigma_h, n)
-    sv = perms.parse_cycles(args.sigma_v, n)
-    return ori.Origami(n, sh, sv)
-
-
-def _add_origami_args(p, named_default=None):
-    p.add_argument("--name", default=named_default,
-                   help="built-in origami (torus, wollmilchsau)")
-    p.add_argument("--sigma-h", help="horizontal permutation, cycle notation")
-    p.add_argument("--sigma-v", help="vertical permutation, cycle notation")
-    p.add_argument("--d", type=int, default=None,
-                   help="number of squares (inferred from cycles if omitted)")
-
-
-def _origami_inputs(args):
-    out = {}
-    for key in ("name", "sigma_h", "sigma_v", "d"):
-        val = getattr(args, key, None)
-        if val is not None:
-            out[key] = val
-    return out
+    return ori.Origami(n, perms.parse_cycles(args.sigma_h, n),
+                       perms.parse_cycles(args.sigma_v, n))
 
 
 # ---------------------------------------------------------------- commands
 
 
-def cmd_classify(args):
+def cmd_classify(args, inputs):
+    inputs["periodic_points"] = args.periodic_points
     A = sl2z.IntMatrix2.from_string(args.matrix)
     c = sl2z.classify(A)
-    results = {"matrix": A.rows(), "classification": c.to_json()}
-    word = sl2z.decompose_st(A)
-    results["word"] = [t.value for t in word]
+    results = {"matrix": A.rows(), "classification": c.to_json(),
+               "word": [t.value for t in sl2z.decompose_st(A)]}
     if isinstance(c, sl2z.Parabolic):
         # trace -2: the shear form applies to -A
         n, P = sl2z.parabolic_normal_form(A if A.trace() == 2 else -A)
@@ -146,235 +130,146 @@ def cmd_classify(args):
         results["periodic_points"] = {
             "n": args.periodic_points,
             "count": count,
-            "points": [[_fraction_str(x), _fraction_str(y)]
-                       for x, y in points],
+            "points": [[str(x), str(y)] for x, y in points],
         }
-    return _report("classify", {"matrix": args.matrix,
-                                "periodic_points": args.periodic_points},
-                   results)
+    return results
 
 
-def cmd_origami_build(args):
-    o = _origami_from_args(args)
-    return _report("origami build", _origami_inputs(args), o.to_json())
+def cmd_origami_build(args, inputs):
+    return _origami_from_args(args).to_json()
 
 
-def cmd_origami_lift(args):
+def cmd_origami_lift(args, inputs):
     A = sl2z.IntMatrix2.from_string(args.matrix)
-    o = _origami_from_args(args)
-    w = ori.lift_automorphism(A, o)
-    inputs = _origami_inputs(args)
-    inputs["matrix"] = args.matrix
+    w = ori.lift_automorphism(A, _origami_from_args(args))
     if w is None:
-        results = {
-            "exists": False,
-            "certificate": "the canonical form of the image differs from "
-                           "the canonical form of the origami, so no "
-                           "relabeling can match",
-        }
-    else:
-        results = {"exists": True, "witness": w.to_json()}
-    return _report("origami lift", inputs, results)
+        return {"exists": False,
+                "certificate": "the canonical form of the image differs "
+                               "from the canonical form of the origami, "
+                               "so no relabeling can match"}
+    return {"exists": True, "witness": w.to_json()}
 
 
-def cmd_origami_pillowcase(args):
-    d = args.d
-    a = _int_list(args.a)
-    o = ori.pillowcase_origami(d, a)
-    results = o.to_json()
-    results["expected_genus"] = cover_mod.pillowcase_genus(d, a).genus
-    return _report("origami pillowcase", {"d": d, "a": a}, results)
+def cmd_origami_pillowcase(args, inputs):
+    d, a = args.d, args.a
+    return {**ori.pillowcase_origami(d, a).to_json(),
+            "expected_genus": cover_mod.pillowcase_genus(d, a).genus}
 
 
-def _int_list(text):
-    try:
-        return tuple(int(p) for p in text.replace(";", ",").split(",") if p)
-    except ValueError:
-        raise UsageError("expected a comma-separated integer list, got %r"
-                         % text)
-
-
-def cmd_cover_pillowcase(args):
-    d = args.d
-    a = _int_list(args.a)
+def cmd_cover_pillowcase(args, inputs):
+    d, a = args.d, args.a
     pc = cover_mod.pillowcase_genus(d, a)
+    sphere = cover_mod.pillowcase_sphere_profile(d, a)
     results = {"d": d, "a": list(a), "genus": pc.genus,
-               "sphere_profile": cover_mod.pillowcase_sphere_profile(d, a).to_json()}
+               "sphere_profile": sphere.to_json()}
     if pc.torus_profile is not None:
         results["torus_profile"] = pc.torus_profile.to_json()
-    return _report("cover pillowcase", {"d": d, "a": list(a)}, results)
+    return results
 
 
-def cmd_cover_double(args):
+def cmd_cover_double(args, inputs):
     spec = cover_mod.build_double_cover(args.n)
-    results = spec.to_json()
-    results["genus"] = spec.genus()
-    return _report("cover double", {"n": args.n}, results)
+    return {**spec.to_json(), "genus": spec.genus()}
 
 
-def cmd_cover_growth(args):
-    per_point = _int_list(args.per_point)
-    cert = cover_mod.leaf_genus_growth(args.d, per_point, args.k)
-    return _report("cover growth",
-                   {"d": args.d, "per_point": list(per_point), "k": args.k},
-                   cert.to_json())
+def cmd_cover_growth(args, inputs):
+    return cover_mod.leaf_genus_growth(args.d, args.per_point,
+                                       args.k).to_json()
 
 
-def cmd_homology_basis(args):
+def cmd_homology_basis(args, inputs):
     o = _origami_from_args(args)
-    basis = hom.homology_basis(o)
-    results = basis.to_json()
-    results["genus"] = o.genus()
-    return _report("homology basis", _origami_inputs(args), results)
+    return {**hom.homology_basis(o).to_json(), "genus": o.genus()}
 
 
-def cmd_homology_action(args):
+def cmd_homology_action(args, inputs):
     A = sl2z.IntMatrix2.from_string(args.matrix)
     o = _origami_from_args(args)
     w = ori.lift_automorphism(A, o)
     if w is None:
         raise DomainError("the matrix does not lift to this origami")
-    act = hom.induced_action(w, o)
-    inputs = _origami_inputs(args)
-    inputs["matrix"] = args.matrix
-    results = act.to_json()
-    results["witness"] = w.to_json()
-    return _report("homology action", inputs, results)
+    return {**hom.induced_action(w, o).to_json(), "witness": w.to_json()}
 
 
-_CLASS_CHOICES = {c.value: c for c in torus3.MonodromyClass}
-
-
-def _summary_from_args(args):
+def cmd_torus3_bundle(args, inputs):
+    klass = getattr(args, "class")
     if args.matrix:
         A = sl2z.IntMatrix2.from_string(args.matrix)
-        return torus3.summary_from_matrix(A, torelli_k=args.torelli_k)
-    if args.genus is None or args.klass is None:
+        m = torus3.summary_from_matrix(A, torelli_k=args.torelli_k)
+    elif args.genus is None or klass is None:
         raise UsageError("give --matrix, or --genus with --class")
-    kind = _CLASS_CHOICES[args.klass]
-    stretch = args.stretch
-    return torus3.MonodromySummary(args.genus, kind, stretch=stretch,
-                                   torelli_k=args.torelli_k)
-
-
-def cmd_torus3_bundle(args):
-    m = _summary_from_args(args)
-    geo = torus3.geometry_classify(m)
-    results = {"monodromy": m.to_json()}
-    results.update(geo.to_json())
+    else:
+        m = torus3.MonodromySummary(args.genus, torus3.MonodromyClass(klass),
+                                    stretch=args.stretch,
+                                    torelli_k=args.torelli_k)
+    results = {"monodromy": m.to_json(),
+               **torus3.geometry_classify(m).to_json()}
     if m.torelli_k is not None:
         results["b1"] = m.b1
-    inputs = {k: v for k, v in (("matrix", args.matrix),
-                                ("genus", args.genus),
-                                ("class", args.klass),
-                                ("stretch", args.stretch),
-                                ("torelli_k", args.torelli_k)) if v is not None}
-    return _report("torus3 bundle", inputs, results)
+    return results
 
 
-def cmd_torus3_euler(args):
+def cmd_torus3_euler(args, inputs):
     b = torus3.BundleData(args.genus, args.e)
-    rep = torus3.euler_report(b)
-    results = b.to_json()
-    results.update(rep.to_json())
-    return _report("torus3 euler", {"genus": args.genus, "e": args.e},
-                   results)
+    return {**b.to_json(), **torus3.euler_report(b).to_json()}
 
 
-def cmd_torus3_periods(args):
-    vectors = []
-    for chunk in args.vectors.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        vectors.append([Fraction(p.strip()) for p in chunk.split(",")])
-    pr = torus3.period_group_rank(vectors)
-    return _report("torus3 periods",
-                   {"vectors": [[str(x) for x in v] for v in vectors]},
-                   pr.to_json())
+def cmd_torus3_periods(args, inputs):
+    vectors = [[hol.parse_rational(p.strip()) for p in chunk.split(",")]
+               for chunk in _chunks(args.vectors)]
+    inputs["vectors"] = [[str(x) for x in v] for v in vectors]
+    return torus3.period_group_rank(vectors).to_json()
 
 
-def _gen_list(text):
-    out = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if chunk:
-            out.append(hol.parse_generator(chunk))
-    if not out:
-        raise UsageError("no generators in %r" % text)
-    return out
-
-
-def cmd_holonomy_orbit(args):
+def cmd_holonomy_orbit(args, inputs):
     gens = _gen_list(args.gens)
-    seed = args.seed
-    if seed is None:
-        seed = _env_int("MINFOL_SEED") or 0
-    stats = hol.orbit_density(gens, args.start, args.steps, args.eps, seed)
-    return _report("holonomy orbit",
-                   {"gens": args.gens, "start": args.start,
-                    "steps": args.steps, "eps": args.eps, "seed": seed},
-                   stats.to_json(), seed=seed)
+    seed = inputs["seed"] = args.seed if args.seed is not None \
+        else _env_int("MINFOL_SEED") or 0
+    return hol.orbit_density(gens, args.start, args.steps, args.eps,
+                             seed).to_json()
 
 
-def cmd_holonomy_stabilizer(args):
+def cmd_holonomy_stabilizer(args, inputs):
     gens = _gen_list(args.gens)
-    x = Fraction(args.x)
-    rep = hol.stabilizer_search(gens, x, args.max_len)
-    return _report("holonomy stabilizer",
-                   {"gens": args.gens, "x": args.x, "max_len": args.max_len},
-                   rep.to_json())
+    return hol.stabilizer_search(gens, hol.parse_rational(args.x),
+                                 args.max_len).to_json()
 
 
-def cmd_holonomy_rotnum(args):
-    gens = _gen_list(args.gens)
-    rep = hol.rotation_number(gens, args.n)
-    return _report("holonomy rotnum", {"gens": args.gens, "n": args.n},
-                   rep.to_json())
+def cmd_holonomy_rotnum(args, inputs):
+    return hol.rotation_number(_gen_list(args.gens), args.n).to_json()
 
 
-def cmd_holonomy_commutator(args):
+def cmd_holonomy_commutator(args, inputs):
     pairs = []
-    for chunk in args.pairs.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+    for chunk in _chunks(args.pairs):
         halves = chunk.split("|")
         if len(halves) != 2:
             raise UsageError("each pair needs two specs joined by '|'")
-        f = hol.parse_generator(halves[0])
-        h = hol.parse_generator(halves[1])
-        pairs.append((f, h))
-    chk = hol.verify_commutator_product(pairs, args.theta)
-    return _report("holonomy commutator",
-                   {"pairs": args.pairs, "theta": args.theta}, chk.to_json())
+        pairs.append((hol.parse_generator(halves[0]),
+                      hol.parse_generator(halves[1])))
+    return hol.verify_commutator_product(pairs, args.theta).to_json()
 
 
-def cmd_pipeline_frw(args):
+def cmd_pipeline_frw(args, inputs):
     A = sl2z.IntMatrix2.from_string(args.matrix)
     c = sl2z.classify(A)
     if not isinstance(c, sl2z.Anosov):
         raise DomainError("the pipeline needs a hyperbolic matrix; got %s"
                           % type(c).__name__)
-    o = ori.named_origami(args.origami) if args.origami in ("torus", "wollmilchsau") \
-        else _origami_from_args(args)
+    o = ori.named_origami(args.origami)
     w = ori.lift_automorphism(A, o)
     if w is None:
         raise DomainError("the matrix does not lift to this origami")
     act = hom.induced_action(w, o)
     g = o.genus()
-    if g == 1:
-        summary = torus3.MonodromySummary(
-            1, torus3.MonodromyClass.ANOSOV, stretch=c.stretch,
-            torelli_k=act.torelli_order)
-    else:
-        summary = torus3.MonodromySummary(
-            g, torus3.MonodromyClass.PSEUDO_ANOSOV, stretch=c.stretch,
-            torelli_k=act.torelli_order)
+    kind = torus3.MonodromyClass.ANOSOV if g == 1 else \
+        torus3.MonodromyClass.PSEUDO_ANOSOV
+    summary = torus3.MonodromySummary(g, kind, stretch=c.stretch,
+                                      torelli_k=act.torelli_order)
+    if g > 1:
         # lifted hyperbolic monodromy: fixed classes project to zero
         assert act.torelli_order <= 2 * g - 2
         assert act.fixed_in_displacement_kernel
-    geo = torus3.geometry_classify(summary)
     fibre = [len(c) for c in o.vertex_cycles() if len(c) >= 2]
     if fibre:
         growth = cover_mod.leaf_genus_growth_fibres(
@@ -382,20 +277,116 @@ def cmd_pipeline_frw(args):
     else:
         growth = {"note": "unbranched: every vertex is regular, "
                           "chi stays at %d" % o.d}
-    results = {
+    return {
         "classification": c.to_json(),
         "origami": o.to_json(),
         "witness": w.to_json(),
         "action": act.to_json(),
         "monodromy": summary.to_json(),
-        "geometry": geo.to_json(),
+        "geometry": torus3.geometry_classify(summary).to_json(),
         "leaf_growth": growth,
     }
-    inputs = {"matrix": args.matrix, "origami": args.origami, "k": args.k}
-    return _report("pipeline frw", inputs, results)
 
 
-# ---------------------------------------------------------------- parser
+# ---------------------------------------------------------------- table
+
+
+def _flag(name, **spec):
+    return name, spec
+
+
+MATRIX = _flag("--matrix", required=True, help='four integers "a b c d"')
+GENS = _flag("--gens", required=True, help="';'-separated generator specs")
+ORIGAMI = [
+    _flag("--name", help="built-in origami (torus, wollmilchsau)"),
+    _flag("--sigma-h", help="horizontal permutation, cycle notation"),
+    _flag("--sigma-v", help="vertical permutation, cycle notation"),
+    _flag("--d", type=int,
+          help="number of squares (inferred from cycles if omitted)"),
+]
+PILLOWCASE = [
+    _flag("--d", type=int, required=True),
+    _flag("--a", type=_int_list, required=True,
+          help="four integers a1,a2,a3,a4"),
+]
+
+GROUPS = {
+    "origami": "square-tiled surfaces",
+    "cover": "branched covers and genus counts",
+    "homology": "H_1 of an origami and actions",
+    "torus3": "mapping-torus geometry reports",
+    "holonomy": "transverse dynamics simulation",
+    "pipeline": "end-to-end example chains",
+}
+
+COMMANDS = [
+    ("classify", "SL(2,Z) trichotomy", [
+        MATRIX,
+        _flag("--periodic-points", type=int, metavar="N",
+              help="also count points of period N (hyperbolic only)"),
+    ], cmd_classify),
+    ("origami build", "genus and stratum of an origami", ORIGAMI,
+     cmd_origami_build),
+    ("origami lift", "search for an affine self-map lift",
+     [MATRIX] + ORIGAMI, cmd_origami_lift),
+    ("origami pillowcase", "origami model of a pillowcase-family cover",
+     PILLOWCASE, cmd_origami_pillowcase),
+    ("cover pillowcase", "pillowcase-family genus", PILLOWCASE,
+     cmd_cover_pillowcase),
+    ("cover double", "double cover of the torus family",
+     [_flag("--n", type=int, required=True)], cmd_cover_double),
+    ("cover growth", "iterated leaf-cover Euler bound", [
+        _flag("--d", type=int, required=True),
+        _flag("--per-point", type=_int_list, required=True, metavar="DI,EI",
+              help="ramification pair d_i,e_i reused for every point"),
+        _flag("--k", type=int, default=50),
+    ], cmd_cover_growth),
+    ("homology basis", "rank and intersection form", ORIGAMI,
+     cmd_homology_basis),
+    ("homology action", "induced symplectic action of a lift",
+     [MATRIX] + ORIGAMI, cmd_homology_action),
+    ("torus3 bundle", "geometry of a surface bundle", [
+        _flag("--matrix", help="torus-fiber monodromy matrix"),
+        _flag("--genus", type=int),
+        _flag("--class",
+              choices=sorted(c.value for c in torus3.MonodromyClass)),
+        _flag("--stretch", type=float),
+        _flag("--torelli-k", type=int),
+    ], cmd_torus3_bundle),
+    ("torus3 euler", "Euler class and transversality",
+     [_flag("--genus", type=int, required=True),
+      _flag("--e", type=int, required=True)], cmd_torus3_euler),
+    ("torus3 periods", "exact rank of a period group",
+     [_flag("--vectors", required=True,
+            help='rational rows like "1,0;0,1;1/2,1/3"')], cmd_torus3_periods),
+    ("holonomy orbit", "orbit gap statistics", [
+        GENS,
+        _flag("--start", type=float, default=0.0),
+        _flag("--steps", type=int, required=True),
+        _flag("--eps", type=float, required=True),
+        _flag("--seed", type=int, help="defaults to MINFOL_SEED, then 0"),
+    ], cmd_holonomy_orbit),
+    ("holonomy stabilizer", "affine words fixing a point", [
+        GENS,
+        _flag("--x", required=True, help="exact rational, e.g. -1 or 3/7"),
+        _flag("--max-len", type=int, default=4),
+    ], cmd_holonomy_stabilizer),
+    ("holonomy rotnum", "Birkhoff rotation number",
+     [GENS, _flag("--n", type=int, default=1000)], cmd_holonomy_rotnum),
+    ("holonomy commutator", "compare a commutator product to a rotation", [
+        _flag("--pairs", required=True,
+              help="';'-separated 'mob:..|mob:..' pairs; empty for id"),
+        _flag("--theta", type=float, required=True),
+    ], cmd_holonomy_commutator),
+    ("pipeline frw", "lift a hyperbolic matrix and report the "
+                     "mapping-torus invariants", [
+        MATRIX,
+        _flag("--origami", default="wollmilchsau",
+              help="built-in origami (torus, wollmilchsau)"),
+        _flag("--k", type=int, default=50,
+              help="leaf-growth stages to certify"),
+    ], cmd_pipeline_frw),
+]
 
 
 def build_parser():
@@ -406,111 +397,21 @@ def build_parser():
     top.add_argument("--tsv", action="store_true",
                      help="flatten the report to key<TAB>value rows")
     sub = top.add_subparsers(dest="command", metavar="command")
-
-    p = sub.add_parser("classify", parents=[], help="SL(2,Z) trichotomy")
-    p.add_argument("--matrix", required=True, help='four integers "a b c d"')
-    p.add_argument("--periodic-points", type=int, default=None, metavar="N",
-                   help="also count points of period N (hyperbolic only)")
-    p.set_defaults(func=cmd_classify)
-
-    og = sub.add_parser("origami", help="square-tiled surfaces")
-    ogsub = og.add_subparsers(dest="subcommand", metavar="subcommand")
-    p = ogsub.add_parser("build", help="genus and stratum of an origami")
-    _add_origami_args(p)
-    p.set_defaults(func=cmd_origami_build)
-    p = ogsub.add_parser("lift", help="search for an affine self-map lift")
-    p.add_argument("--matrix", required=True)
-    _add_origami_args(p)
-    p.set_defaults(func=cmd_origami_lift)
-    p = ogsub.add_parser("pillowcase",
-                         help="origami model of a pillowcase-family cover")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--a", required=True, help="four integers a1,a2,a3,a4")
-    p.set_defaults(func=cmd_origami_pillowcase)
-
-    cv = sub.add_parser("cover", help="branched covers and genus counts")
-    cvsub = cv.add_subparsers(dest="subcommand", metavar="subcommand")
-    p = cvsub.add_parser("pillowcase", help="pillowcase-family genus")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--a", required=True)
-    p.set_defaults(func=cmd_cover_pillowcase)
-    p = cvsub.add_parser("double", help="double cover of the torus family")
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_cover_double)
-    p = cvsub.add_parser("growth", help="iterated leaf-cover Euler bound")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--per-point", required=True, metavar="DI,EI",
-                   help="ramification pair d_i,e_i reused for every point")
-    p.add_argument("--k", type=int, default=50)
-    p.set_defaults(func=cmd_cover_growth)
-
-    hm = sub.add_parser("homology", help="H_1 of an origami and actions")
-    hmsub = hm.add_subparsers(dest="subcommand", metavar="subcommand")
-    p = hmsub.add_parser("basis", help="rank and intersection form")
-    _add_origami_args(p)
-    p.set_defaults(func=cmd_homology_basis)
-    p = hmsub.add_parser("action", help="induced symplectic action of a lift")
-    p.add_argument("--matrix", required=True)
-    _add_origami_args(p)
-    p.set_defaults(func=cmd_homology_action)
-
-    t3 = sub.add_parser("torus3", help="mapping-torus geometry reports")
-    t3sub = t3.add_subparsers(dest="subcommand", metavar="subcommand")
-    p = t3sub.add_parser("bundle", help="geometry of a surface bundle")
-    p.add_argument("--matrix", default=None,
-                   help="torus-fiber monodromy matrix")
-    p.add_argument("--genus", type=int, default=None)
-    p.add_argument("--class", dest="klass", choices=sorted(_CLASS_CHOICES),
-                   default=None)
-    p.add_argument("--stretch", type=float, default=None)
-    p.add_argument("--torelli-k", type=int, default=None)
-    p.set_defaults(func=cmd_torus3_bundle)
-    p = t3sub.add_parser("euler", help="Euler class and transversality")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--e", type=int, required=True)
-    p.set_defaults(func=cmd_torus3_euler)
-    p = t3sub.add_parser("periods", help="exact rank of a period group")
-    p.add_argument("--vectors", required=True,
-                   help='rational rows like "1,0;0,1;1/2,1/3"')
-    p.set_defaults(func=cmd_torus3_periods)
-
-    ho = sub.add_parser("holonomy", help="transverse dynamics simulation")
-    hosub = ho.add_subparsers(dest="subcommand", metavar="subcommand")
-    p = hosub.add_parser("orbit", help="orbit gap statistics")
-    p.add_argument("--gens", required=True,
-                   help="';'-separated generator specs")
-    p.add_argument("--start", type=float, default=0.0)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--seed", type=int, default=None,
-                   help="defaults to MINFOL_SEED, then 0")
-    p.set_defaults(func=cmd_holonomy_orbit)
-    p = hosub.add_parser("stabilizer", help="affine words fixing a point")
-    p.add_argument("--gens", required=True)
-    p.add_argument("--x", required=True, help="exact rational, e.g. -1 or 3/7")
-    p.add_argument("--max-len", type=int, default=4)
-    p.set_defaults(func=cmd_holonomy_stabilizer)
-    p = hosub.add_parser("rotnum", help="Birkhoff rotation number")
-    p.add_argument("--gens", required=True)
-    p.add_argument("--n", type=int, default=1000)
-    p.set_defaults(func=cmd_holonomy_rotnum)
-    p = hosub.add_parser("commutator",
-                         help="compare a commutator product to a rotation")
-    p.add_argument("--pairs", required=True,
-                   help="';'-separated 'mob:..|mob:..' pairs; empty for id")
-    p.add_argument("--theta", type=float, required=True)
-    p.set_defaults(func=cmd_holonomy_commutator)
-
-    pl = sub.add_parser("pipeline", help="end-to-end example chains")
-    plsub = pl.add_subparsers(dest="subcommand", metavar="subcommand")
-    p = plsub.add_parser("frw", help="lift a hyperbolic matrix and report "
-                                     "the mapping-torus invariants")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--origami", default="wollmilchsau")
-    p.add_argument("--k", type=int, default=50,
-                   help="leaf-growth stages to certify")
-    p.set_defaults(func=cmd_pipeline_frw)
-
+    groups = {}
+    for row in COMMANDS:
+        path, help_text, specs, _ = row
+        group, _, name = path.rpartition(" ")
+        parent = sub
+        if group:
+            if group not in groups:
+                g = sub.add_parser(group, help=GROUPS[group])
+                groups[group] = g.add_subparsers(dest="subcommand",
+                                                 metavar="subcommand")
+            parent = groups[group]
+        p = parent.add_parser(name, help=help_text)
+        for flag, spec in specs:
+            p.add_argument(flag, **spec)
+        p.set_defaults(row=row)
     return top
 
 
@@ -518,15 +419,30 @@ def run(argv):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if not hasattr(args, "func"):
+        if not hasattr(args, "row"):
             raise UsageError("missing subcommand; see --help")
-        report = args.func(args)
+        path, _, specs, handler = args.row
+        inputs = {}
+        for flag, _ in specs:
+            key = flag[2:].replace("-", "_")
+            if getattr(args, key) is not None:
+                inputs[key] = getattr(args, key)
+        results = handler(args, inputs)
+        report = {
+            "schema": SCHEMA_ID,
+            "command": path,
+            "inputs": inputs,
+            "results": results,
+            "provenance": {
+                "tool": "minfol",
+                "version": __version__,
+                "seed": inputs.get("seed"),
+                "threads": _env_int("MINFOL_THREADS"),
+            },
+        }
     except UsageError as exc:
         sys.stderr.write("usage error: %s\n" % exc)
         return 1
-    except DomainError as exc:
-        sys.stderr.write("domain error: %s\n" % exc)
-        return 2
     except ValueError as exc:
         sys.stderr.write("domain error: %s\n" % exc)
         return 2

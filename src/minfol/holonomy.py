@@ -146,6 +146,18 @@ class AffineLine:
         return "aff:k=%d,b=%s" % (self.k, self.b)
 
 
+def parse_rational(text):
+    """An exact rational from "3/7", "-1" or "0.5".
+
+    A zero denominator is a DomainError; other malformed text raises
+    the ValueError that Fraction gives.
+    """
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise DomainError("zero denominator in %r" % text)
+
+
 def parse_generator(text):
     """One generator from its compact spec string.
 
@@ -171,7 +183,7 @@ def parse_generator(text):
             if key.strip() == "k":
                 k = int(val)
             elif key.strip() == "b":
-                b = Fraction(val.strip())
+                b = parse_rational(val.strip())
             else:
                 raise DomainError("unknown affine field %r" % key)
         if k is None or b is None:

@@ -13,10 +13,6 @@ def identity_matrix(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def zero_matrix(m, n):
-    return [[0] * n for _ in range(m)]
-
-
 def mat_mul(A, B):
     n, k = len(A), len(B)
     assert all(len(row) == k for row in A)

@@ -3,9 +3,9 @@ and must reproduce its recorded exit code, stdout and stderr byte for
 byte.
 
 A case is one JSON file: {"argv", "env", "exit", "stdout", "stderr"}.
-`env` sets MINFOL_SEED, MINFOL_THREADS or COLUMNS; the other two are
-unset for the run.  To add a case, write a file with "argv" and "env"
-only and fill in the rest with
+`env` may set MINFOL_SEED, MINFOL_THREADS and COLUMNS; those it leaves
+out are unset for the run.  To add a case, write a file with "argv" and
+"env" only and fill in the rest with
 
     PYTHONPATH=src python tests/test_golden.py NAME...
 
@@ -23,7 +23,7 @@ from contextlib import contextmanager, redirect_stderr, redirect_stdout
 
 import pytest
 
-from minfol.cli import run
+from minfol.cli import COMMANDS, run
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 ENV_KEYS = ("MINFOL_SEED", "MINFOL_THREADS", "COLUMNS")
@@ -71,14 +71,12 @@ def test_golden_case(name):
 
 
 def test_every_command_has_a_passing_case():
-    from minfol.cli import COMMANDS
     covered = set()
     for name in case_names():
         case = load(name)
         if case["exit"] == 0:
             words = [a for a in case["argv"] if a != "--tsv"]
-            covered.add(" ".join(words[:2]))
-            covered.add(words[0] if words else "")
+            covered.update({words[0], " ".join(words[:2])})
     missing = [row[0] for row in COMMANDS if row[0] not in covered]
     assert not missing
 
@@ -89,8 +87,7 @@ def test_entry_point_process_matches_golden(name):
     case = load(name)
     env = {k: v for k, v in os.environ.items() if k not in ENV_KEYS}
     env.update(case["env"])
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in (env.get("PYTHONPATH"),) if p])
+    env["PYTHONPATH"] = str(ROOT / "src")
     proc = subprocess.run([sys.executable, "-m", "minfol.cli"]
                           + case["argv"], env=env, capture_output=True,
                           text=True, timeout=60)

@@ -81,7 +81,8 @@ def test_parse_generator_roundtrips():
     assert parse_generator(f.spec()) == f
     m = parse_generator("mob:2,1,1,1")
     assert isinstance(m, Mobius)
-    for bad in ("spin:1", "mob:1,2,3", "aff:k=1", "aff:q=2,b=0"):
+    for bad in ("spin:1", "mob:1,2,3", "aff:k=1", "aff:q=2,b=0",
+                "aff:k=1,b=1/0"):
         with pytest.raises(DomainError):
             parse_generator(bad)
 
