@@ -262,6 +262,10 @@ def leaf_genus_growth(d, per_point, k):
     per_point = list(per_point)
     if per_point and isinstance(per_point[0], int):
         per_point = [tuple(per_point)]
+    for entry in per_point:
+        if len(entry) != 2:
+            raise DomainError("per-point entry %s is not a (d_i, e_i) pair"
+                              % (list(entry),))
     if len(per_point) == 1:
         per_point = per_point * k
     if len(per_point) != k:

@@ -11,6 +11,13 @@ h_i + v_(right of i) - h_(above i) - v_i.
 H_1 is computed exactly: collapse a spanning tree of the 1-skeleton,
 quotient the cycle space by the face boundaries through a Smith normal
 form, and lift the surviving generators back to integer edge vectors.
+A cycle is the sum of the fundamental cycles of its non-tree edges, so
+it is fixed by its non-tree coordinates y.  With U B V = D the Smith
+form of the boundary matrix B in those coordinates, and all r nonzero
+divisors equal to 1, the rows of V^-1 split into r that span the
+boundaries and 2g that are the basis cycles.  So the coordinates of a
+cycle in the basis are y . V[:, r:], an integer dot product, and
+`HomologyBasis.decompose` keeps those columns of V instead of solving.
 
 The intersection form needs care.  Counting crossings of pushed-off
 edge cycles fails at cone points, where a translated cycle no longer
@@ -23,12 +30,12 @@ it against the sum of all faces pairs cocycle classes:
 
 Poincare duality converts that to the intersection form on the cycle
 basis: J = -E Q^-1 E^T, where Q is the cocycle pairing above and E
-evaluates cocycles on the basis cycles.  Everything is integer or
-Fraction arithmetic; no floating point enters this module.
+evaluates cocycles on the basis cycles; it is computed from the
+integer adjugate of Q with one exact division by det Q.  Everything is
+exact integer arithmetic; no floating point enters this module.
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 
 from .errors import DomainError
 from . import intlinalg as la
@@ -43,20 +50,22 @@ class HomologyBasis:
     cycles: tuple        # rank integer vectors of length 2d
     intersection: tuple  # rank x rank integer matrix J
     face_boundaries: tuple
+    # what decompose reads coordinates from: the edge -> vertex boundary
+    # map, the non-tree edges, and the last rank columns of the Smith
+    # transform V (one tuple per basis cycle, indexed like _nontree)
+    _d1: tuple = field(compare=False, repr=False)
+    _nontree: tuple = field(compare=False, repr=False)
+    _coords: tuple = field(compare=False, repr=False)
 
     def decompose(self, x):
         """Coordinates of the cycle x in this basis, modulo boundaries."""
-        n = len(self.cycles[0]) if self.cycles else len(x)
-        cols = list(self.cycles) + list(self.face_boundaries)
-        A = [[col[i] for col in cols] for i in range(n)]
-        sol = la.solve_rational(A, list(x))
-        if sol is None:
+        if len(x) != len(self._d1[0]):
+            raise DomainError("vector has length %d, not %d"
+                              % (len(x), len(self._d1[0])))
+        if any(la.mat_vec(self._d1, x)):
             raise DomainError("vector is not a cycle of this complex")
-        out = []
-        for v in sol[:self.rank]:
-            assert v.denominator == 1
-            out.append(int(v))
-        return tuple(out)
+        return tuple(sum(x[e] * v for e, v in zip(self._nontree, col))
+                     for col in self._coords)
 
     def pairing(self, x, y):
         """Algebraic intersection number of two cycles in edge coordinates."""
@@ -118,22 +127,32 @@ def _cup_on_fundamental(o, a, b):
     return total
 
 
-def _cocycle_class_basis(o, nverts, cls, ends):
-    """2g integer cocycles whose classes span H^1 rationally."""
-    d = o.d
-    cocycles = la.kernel_rational(_face_boundary_vectors(o))
-    span = []
-    for p in range(nverts):
-        vec = [0] * (2 * d)
-        for e, (t, h) in enumerate(ends):
-            vec[e] = (1 if h == p else 0) - (1 if t == p else 0)
-        span.append(vec)
-    base_rank = la.rank_rational(span)
+def _d1(nverts, ends):
+    """Boundary map of the 1-skeleton, edges -> vertices.  Its rows are
+    also the coboundaries of the vertices."""
+    d1 = [[0] * len(ends) for _ in range(nverts)]
+    for e, (t, h) in enumerate(ends):
+        d1[h][e] += 1
+        d1[t][e] -= 1
+    return d1
+
+
+def _cocycle_class_basis(o, d1):
+    """2g integer cocycles whose classes span H^1 rationally.
+
+    Greedy over the kernel of the face boundaries: keep a cocycle when
+    it leaves the span of the coboundaries and the cocycles kept so
+    far, which is held in reduced echelon form and extended one row at
+    a time.
+    """
+    R, pivots, _ = la._rref(d1)
+    span = R[:len(pivots)]
     chosen = []
-    for k in cocycles:
-        if la.rank_rational(span + [k]) > base_rank + len(chosen):
+    for k in la.kernel_rational(_face_boundary_vectors(o)):
+        R, pivots, _ = la._rref(span + [k])
+        if len(pivots) > len(span):
             chosen.append(k)
-            span.append(k)
+            span = R[:len(pivots)]
     return chosen
 
 
@@ -232,7 +251,8 @@ def homology_basis(o):
     rank = len(basis)
     assert rank == 2 * o.genus()
 
-    alphas = _cocycle_class_basis(o, nverts, cls, ends)
+    d1 = _d1(nverts, ends)
+    alphas = _cocycle_class_basis(o, d1)
     assert len(alphas) == rank
     E = [[sum(a * x for a, x in zip(alpha, z)) for alpha in alphas]
          for z in basis]
@@ -240,12 +260,12 @@ def homology_basis(o):
     for i in range(rank):
         for j in range(rank):
             assert Q[i][j] == -Q[j][i]
-    Qinv = la.mat_inverse_rational(Q)
-    Jq = la.mat_neg(la.mat_mul(la.mat_mul(E, Qinv), la.transpose(E)))
+    # Q^-1 = adj(Q) / det(Q), and J is integral, so the division is exact
+    adj, det = la._adjugate(Q)
     J = []
-    for row in Jq:
-        assert all(x.denominator == 1 for x in row)
-        J.append([int(x) for x in row])
+    for row in la.mat_mul(la.mat_mul(E, adj), la.transpose(E)):
+        assert all(x % det == 0 for x in row)
+        J.append([-(x // det) for x in row])
     for i in range(rank):
         for j in range(rank):
             assert J[i][j] == -J[j][i]
@@ -253,7 +273,11 @@ def homology_basis(o):
         assert la.det_rational(J) == 1
     return HomologyBasis(rank=rank, cycles=tuple(tuple(z) for z in basis),
                          intersection=tuple(tuple(row) for row in J),
-                         face_boundaries=tuple(tuple(b) for b in boundaries))
+                         face_boundaries=tuple(tuple(b) for b in boundaries),
+                         _d1=tuple(tuple(row) for row in d1),
+                         _nontree=tuple(nontree),
+                         _coords=tuple(tuple(col)
+                                       for col in la.transpose(V)[r:]))
 
 
 def homology_rank(o):
@@ -263,16 +287,10 @@ def homology_rank(o):
     minus rank d2, so agreement with 2 * genus is a genuine cross-check
     of the corner-walk combinatorics.
     """
-    d = o.d
     nverts, cls = _vertex_classes(o)
-    ends = _edge_endpoints(o, cls)
-    d1 = [[0] * (2 * d) for _ in range(nverts)]
-    for e, (t, h) in enumerate(ends):
-        d1[h][e] += 1
-        d1[t][e] -= 1
-    r1 = la.rank_rational(d1)
+    r1 = la.rank_rational(_d1(nverts, _edge_endpoints(o, cls)))
     r2 = la.rank_rational(_face_boundary_vectors(o))
-    return 2 * d - r1 - r2
+    return 2 * o.d - r1 - r2
 
 
 def _token_chain_matrix(token, o):

@@ -1,12 +1,16 @@
 """Exact linear algebra over Z and Q on plain lists of lists.
 
-Everything here is integer or Fraction arithmetic; no floats.  Matrices
-are small throughout the package (a homology basis for a d-square
-surface needs 2d x 2d at worst), so clarity beats asymptotics.
+Everything here is integer or Fraction arithmetic; no floats.  Rank,
+kernel, solve, inverse and determinant share one elimination kernel,
+`_rref`: fraction-free Gauss-Jordan over Z with gcd row multipliers and
+content division, after Bareiss (Math. Comp. 1968).  Rational input is
+scaled to integer rows first, and a Fraction is made only for an output
+entry that needs one.  The Smith normal form has its own integer
+elimination, since it needs unimodular transforms.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
 
 
 def identity_matrix(n):
@@ -48,28 +52,69 @@ def mat_neg(A):
 
 
 def _rref(M):
-    """Reduced row echelon form over Q.  Returns (rows, pivot columns)."""
-    R = [[Fraction(x) for x in row] for row in M]
+    """Reduced row echelon form over Q, computed over Z.
+
+    Returns (rows, pivots, det).  Row r < len(pivots) is the unique
+    reduced echelon row scaled to a primitive integer vector, with a
+    positive entry at its pivot column pivots[r]; the other rows are
+    zero.  A row with Fraction entries is first scaled by the lcm of its
+    denominators.  Rows are cleared with gcd multipliers and divided by
+    their content, so no Fraction arises and entries stay small.  det is
+    the determinant of the leading square block of M (0 when its columns
+    are not all pivots), read off the row operations as a Fraction.
+    """
+    R = []
+    num, den = 1, 1  # det of the leading block of R over that of M
+    for row in M:
+        scale = lcm(*[x.denominator for x in row])
+        if scale == 1:
+            row = list(map(int, row))
+        else:
+            row = [x.numerator * (scale // x.denominator) for x in row]
+        g = gcd(*row)
+        if g > 1:
+            row = [x // g for x in row]
+        R.append(row)
+        num *= scale
+        den *= g or 1
     m = len(R)
     n = len(R[0]) if m else 0
     pivots = []
-    r = 0
     for c in range(n):
-        pivot = next((i for i in range(r, m) if R[i][c] != 0), None)
-        if pivot is None:
-            continue
-        R[r], R[pivot] = R[pivot], R[r]
-        pv = R[r][c]
-        R[r] = [x / pv for x in R[r]]
-        for i in range(m):
-            if i != r and R[i][c] != 0:
-                f = R[i][c]
-                R[i] = [x - f * y for x, y in zip(R[i], R[r])]
-        pivots.append(c)
-        r += 1
+        r = len(pivots)
         if r == m:
             break
-    return R, pivots
+        p = next((i for i in range(r, m) if R[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            R[r], R[p] = R[p], R[r]
+            num = -num
+        prow = R[r]
+        pv = prow[c]
+        if pv < 0:
+            prow = R[r] = [-x for x in prow]
+            pv = -pv
+            num = -num
+        for i in range(m):
+            f = R[i][c]
+            if f and i != r:
+                g = gcd(pv, f)
+                a, b = pv // g, f // g
+                row = [a * x - b * y for x, y in zip(R[i], prow)]
+                g = gcd(*row)
+                if g > 1:
+                    row = [x // g for x in row]
+                R[i] = row
+                num *= a
+                den *= g or 1
+        pivots.append(c)
+    det = Fraction(0)
+    if pivots == list(range(m)):
+        # the leading block of R is diagonal: its determinant is the
+        # product of the pivots
+        det = Fraction(prod(row[i] for i, row in enumerate(R)) * den, num)
+    return R, pivots, det
 
 
 def rank_rational(M):
@@ -79,19 +124,25 @@ def rank_rational(M):
 
 
 def kernel_rational(M):
-    """Basis of the rational kernel of M, as primitive integer vectors."""
+    """Basis of the rational kernel of M, as primitive integer vectors
+    whose first nonzero entry is positive, one per non-pivot column."""
     if not M:
         return []
     n = len(M[0])
-    R, pivots = _rref(M)
-    free = [c for c in range(n) if c not in pivots]
+    R, pivots, _ = _rref(M)
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -R[r][fc]
-        basis.append(_primitive(v))
+    for fc in sorted(set(range(n)) - set(pivots)):
+        hits = [(row[fc], row[pc], pc) for row, pc in zip(R, pivots)
+                if row[fc]]
+        scale = lcm(*(p for _, p, _ in hits))
+        v = [0] * n
+        v[fc] = scale
+        for x, p, pc in hits:
+            v[pc] = -x * (scale // p)
+        g = gcd(*v)
+        if next(x for x in v if x) < 0:
+            g = -g
+        basis.append([x // g for x in v])
     return basis
 
 
@@ -99,53 +150,29 @@ def solve_rational(A, b):
     """One rational solution x of A x = b, or None.  x is a Fraction list."""
     m = len(A)
     n = len(A[0]) if m else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(bb)] for row, bb in zip(A, b)]
-    R, pivots = _rref(aug)
+    R, pivots, _ = _rref([list(row) + [bb] for row, bb in zip(A, b)])
     if n in pivots:
         return None
     x = [Fraction(0)] * n
-    for r, pc in enumerate(pivots):
-        x[pc] = R[r][n]
+    for row, pc in zip(R, pivots):
+        x[pc] = Fraction(row[n], row[pc])
     return x
 
 
-def _primitive(v):
-    """Scale a rational vector to a primitive integer vector."""
-    den = 1
-    for x in v:
-        den = den * x.denominator // gcd(den, x.denominator)
-    w = [int(x * den) for x in v]
-    g = 0
-    for x in w:
-        g = gcd(g, x)
-    if g > 1:
-        w = [x // g for x in w]
-    for x in w:
-        if x != 0:
-            if x < 0:
-                w = [-y for y in w]
-            break
-    return w
-
-
 def det_rational(M):
+    return _rref(M)[2]
+
+
+def _reduce_with_identity(M):
+    """Reduced form of [M | I] for square M, and det(M).  Row i is a
+    positive multiple of row i of [I | M^-1]; singular M raises
+    ValueError."""
     n = len(M)
-    R = [[Fraction(x) for x in row] for row in M]
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if R[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            R[c], R[pivot] = R[pivot], R[c]
-            det = -det
-        det *= R[c][c]
-        inv = 1 / R[c][c]
-        for i in range(c + 1, n):
-            if R[i][c] != 0:
-                f = R[i][c] * inv
-                R[i] = [x - f * y for x, y in zip(R[i], R[c])]
-    return det
+    R, _, det = _rref([list(row) + [int(i == j) for j in range(n)]
+                       for i, row in enumerate(M)])
+    if det == 0:
+        raise ValueError("matrix is singular")
+    return R, det
 
 
 def mat_inverse_rational(M):
@@ -155,13 +182,18 @@ def mat_inverse_rational(M):
     entries come out integral; singular input raises ValueError.
     """
     n = len(M)
-    aug = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0)
-                                         for j in range(n)]
-           for i, row in enumerate(M)]
-    R, pivots = _rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in R[:n]]
+    R, _ = _reduce_with_identity(M)
+    return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(R)]
+
+
+def _adjugate(M):
+    """(adj(M), det(M)) of a nonsingular integer matrix, both integral,
+    so that M^-1 = adj(M) / det(M)."""
+    n = len(M)
+    R, det = _reduce_with_identity(M)
+    det = int(det)
+    return [[x * det // row[i] for x in row[n:]]
+            for i, row in enumerate(R)], det
 
 
 def smith_normal_form(M):

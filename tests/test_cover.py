@@ -225,6 +225,15 @@ def test_leaf_growth_rejects_bad_input():
         leaf_genus_growth_fibres(4, [[2], [2]], 1)
 
 
+def test_leaf_growth_names_a_bad_pair():
+    with pytest.raises(DomainError, match=r"entry \[1\] is not a"):
+        leaf_genus_growth(2, (1,), 3)
+    with pytest.raises(DomainError, match=r"entry \[1, 2, 3\] is not a"):
+        leaf_genus_growth(2, (1, 2, 3), 3)
+    with pytest.raises(DomainError, match=r"entry \[2\] is not a"):
+        leaf_genus_growth(4, [(1, 2), (2,), (1, 2)], 3)
+
+
 def test_leaf_growth_fuzz_certificate_facts():
     rng = random.Random(9)
     for trial in range(300):

@@ -94,12 +94,46 @@ def test_decompose_mod_boundaries_and_pairing():
             basis.intersection[i][j]
 
 
+def solve_decompose(basis, x):
+    """Reference: coordinates of x by an exact solve against the basis
+    cycles and the face boundaries, or None if x is not a cycle."""
+    cols = list(basis.cycles) + list(basis.face_boundaries)
+    sol = la.solve_rational([[c[i] for c in cols] for i in range(len(x))], x)
+    return None if sol is None else tuple(sol[:basis.rank])
+
+
+def test_decompose_agrees_with_exact_solve():
+    rng = random.Random(41)
+    for trial in range(40):
+        o = random_origami(rng, dmax=9)
+        basis = homology_basis(o)
+        coeffs = [rng.randrange(-4, 5) for _ in basis.cycles]
+        x = [0] * (2 * o.d)
+        for c, z in zip(coeffs + [rng.randrange(-4, 5) for _ in
+                                  basis.face_boundaries],
+                        basis.cycles + basis.face_boundaries):
+            x = [xi + c * zi for xi, zi in zip(x, z)]
+        assert basis.decompose(x) == tuple(coeffs) == \
+            solve_decompose(basis, x)
+        # a vector off the cycle space fails both ways
+        y = list(x)
+        y[rng.randrange(2 * o.d)] += 1
+        if solve_decompose(basis, y) is None:
+            with pytest.raises(DomainError):
+                basis.decompose(y)
+        else:
+            assert basis.decompose(y) == solve_decompose(basis, y)
+
+
 def test_decompose_rejects_non_cycles():
     basis = homology_basis(WOLLMILCHSAU)
     notcycle = [0] * 16
     notcycle[0] = 1   # a single edge between distinct cone points
     with pytest.raises(DomainError):
         basis.decompose(notcycle)
+    for length in (0, 15, 17):
+        with pytest.raises(DomainError, match="length"):
+            basis.decompose([0] * length)
 
 
 def test_homology_rank_examples():

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
+from math import gcd
 
 import pytest
 
@@ -8,6 +10,63 @@ from minfol import intlinalg as la
 
 def random_matrix(rng, m, n, lo=-6, hi=7):
     return [[rng.randrange(lo, hi) for _ in range(n)] for _ in range(m)]
+
+
+def gauss_jordan(M):
+    """Reference: textbook Gauss-Jordan over Fraction.  Returns the
+    reduced row echelon form, its pivot columns, and det(M) for square M."""
+    R = [[Fraction(x) for x in row] for row in M]
+    pivots, det = [], Fraction(1)
+    for c in range(len(R[0]) if R else 0):
+        r = len(pivots)
+        p = next((i for i in range(r, len(R)) if R[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            R[r], R[p] = R[p], R[r]
+            det = -det
+        pv = R[r][c]
+        det *= pv
+        R[r] = [x / pv for x in R[r]]
+        for i in range(len(R)):
+            f = R[i][c]
+            if i != r and f:
+                R[i] = [x - f * y for x, y in zip(R[i], R[r])]
+        pivots.append(c)
+    if len(pivots) < len(R):
+        det = Fraction(0)
+    return R, pivots, det
+
+
+def oracle_matrices(rng):
+    """Seeded integer and Fraction matrices, with the shapes and ranks
+    an elimination gets wrong first."""
+    yield [[0, 0, 0]]
+    yield [[0], [0]]
+    yield [[3, -6, 9]]
+    yield [[0, 0], [0, 0]]
+    yield [[2, 0, 4], [0, 0, 0], [1, 0, 2]]
+    for trial in range(400):
+        m, n = rng.randrange(1, 7), rng.randrange(1, 7)
+        kind = trial % 4
+        if kind == 0:
+            A = random_matrix(rng, m, n)
+        elif kind == 1:
+            A = [[Fraction(rng.randrange(-5, 6), rng.randrange(1, 5))
+                  for _ in range(n)] for _ in range(m)]
+        elif kind == 2:   # rank at most k < min(m, n) where possible
+            k = rng.randrange(1, max(2, min(m, n)))
+            A = la.mat_mul(random_matrix(rng, m, k, -3, 4),
+                           random_matrix(rng, k, n, -3, 4))
+        else:             # a zero row and a zero column
+            A = random_matrix(rng, m, n, -2, 3)
+            A[rng.randrange(m)] = [0] * n
+            j = rng.randrange(n)
+            for row in A:
+                row[j] = 0
+        yield A
+        if rng.randrange(3) == 0:
+            yield random_matrix(rng, 1, n)
 
 
 def test_rank_and_kernel_dimensions():
@@ -121,3 +180,76 @@ def test_rank_of_rational_entries():
     # a genuinely dependent pair collapses to rank one
     C = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1)]]
     assert la.rank_rational(C) == 1
+
+
+def test_kernel_agrees_with_reference_gauss_jordan():
+    rng = random.Random(17)
+    for A in oracle_matrices(rng):
+        m, n = len(A), len(A[0])
+        R, pivots, det = gauss_jordan(A)
+        assert la.rank_rational(A) == len(pivots)
+        free = [c for c in range(n) if c not in pivots]
+        ker = la.kernel_rational(A)
+        assert len(ker) == len(free)
+        for fc, k in zip(free, ker):
+            v = [Fraction(0)] * n
+            v[fc] = Fraction(1)
+            for r, pc in enumerate(pivots):
+                v[pc] = -R[r][fc]
+            # k is the primitive integer multiple of v, first entry > 0
+            assert all(type(x) is int for x in k)
+            assert k == [k[fc] * x for x in v]
+            assert gcd(*k) == 1
+            assert next(x for x in k if x) > 0
+        b = [rng.randrange(-4, 5) for _ in range(m)]
+        R, pivots, _ = gauss_jordan([row + [bb] for row, bb in zip(A, b)])
+        sol = la.solve_rational(A, b)
+        if n in pivots:
+            assert sol is None
+        else:
+            x = [Fraction(0)] * n
+            for r, pc in enumerate(pivots):
+                x[pc] = R[r][n]
+            assert sol == x
+        if m == n:
+            assert la.det_rational(A) == det
+            if det == 0:
+                with pytest.raises(ValueError):
+                    la.mat_inverse_rational(A)
+            else:
+                R, _, _ = gauss_jordan([row + [int(i == j) for j in range(n)]
+                                        for i, row in enumerate(A)])
+                assert la.mat_inverse_rational(A) == [row[n:] for row in R]
+
+
+def leibniz_det(M):
+    n = len(M)
+    total = 0
+    for p in permutations(range(n)):
+        inversions = sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i in range(n):
+            term *= M[i][p[i]]
+        total += term
+    return total
+
+
+def test_smith_form_matches_gcd_of_minors():
+    # invariant factor k is d_k / d_(k-1), where d_k is the gcd of all
+    # k x k minors (d_0 = 1; a factor is 0 once d_k vanishes)
+    rng = random.Random(19)
+    for trial in range(150):
+        m, n = rng.randrange(1, 5), rng.randrange(1, 5)
+        A = random_matrix(rng, m, n, -4, 5)
+        if trial % 3 == 0 and min(m, n) > 1:
+            A[1] = [2 * x for x in A[0]]
+        factors, prev = [], 1
+        for k in range(1, min(m, n) + 1):
+            dk = 0
+            for rows in combinations(range(m), k):
+                for cols in combinations(range(n), k):
+                    dk = gcd(dk, leibniz_det([[A[i][j] for j in cols]
+                                              for i in rows]))
+            factors.append(dk // prev if prev else 0)
+            prev = dk
+        assert la.diagonal_of(la.smith_normal_form(A)[1]) == factors
