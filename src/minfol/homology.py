@@ -140,20 +140,17 @@ def _d1(nverts, ends):
 def _cocycle_class_basis(o, d1):
     """2g integer cocycles whose classes span H^1 rationally.
 
-    Greedy over the kernel of the face boundaries: keep a cocycle when
-    it leaves the span of the coboundaries and the cocycles kept so
-    far, which is held in reduced echelon form and extended one row at
-    a time.
+    Greedy over the kernel of the face boundaries: a cocycle is kept
+    when it is independent of the coboundaries (the rows of d1) and of
+    the cocycles before it.  Those are the pivot columns of the matrix
+    with all of these vectors as columns; every other column is the
+    last nonzero entry of one of its kernel vectors.
     """
-    R, pivots, _ = la._rref(d1)
-    span = R[:len(pivots)]
-    chosen = []
-    for k in la.kernel_rational(_face_boundary_vectors(o)):
-        R, pivots, _ = la._rref(span + [k])
-        if len(pivots) > len(span):
-            chosen.append(k)
-            span = R[:len(pivots)]
-    return chosen
+    cocycles = la.kernel_rational(_face_boundary_vectors(o))
+    dependent = {max(i for i, x in enumerate(v) if x)
+                 for v in la.kernel_rational(la.transpose(d1 + cocycles))}
+    return [k for j, k in enumerate(cocycles, start=len(d1))
+            if j not in dependent]
 
 
 def displacement(o, x):

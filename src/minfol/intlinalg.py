@@ -125,7 +125,10 @@ def rank_rational(M):
 
 def kernel_rational(M):
     """Basis of the rational kernel of M, as primitive integer vectors
-    whose first nonzero entry is positive, one per non-pivot column."""
+    whose first nonzero entry is positive.  There is one vector per
+    non-pivot column c of the reduced echelon form, in the order of c;
+    its last nonzero entry is at c, and it is 0 at the other non-pivot
+    columns."""
     if not M:
         return []
     n = len(M[0])
