@@ -32,7 +32,7 @@ Poincare duality converts that to the intersection form on the cycle
 basis: J = -E Q^-1 E^T, where Q is the cocycle pairing above and E
 evaluates cocycles on the basis cycles; it is computed from the
 integer adjugate of Q with one exact division by det Q.  Everything is
-exact integer arithmetic; no floating point enters this module.
+integer or Fraction arithmetic; no floating point enters this module.
 """
 
 from dataclasses import dataclass, field

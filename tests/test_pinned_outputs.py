@@ -5,6 +5,7 @@ The digest was captured from the Fraction row-reduction code that the
 fraction-free elimination kernel replaced.  H_1 coordinates, reduced
 echelon forms and primitive kernel vectors are unique, so any change
 in the bytes below is a change of answer, not of representation.
+`PYTHONPATH=src python tests/test_pinned_outputs.py` prints the digest.
 """
 
 import hashlib
@@ -87,7 +88,7 @@ def sweep_record():
 
 
 def sweep_digest():
-    blob = json.dumps(sweep_record(), sort_keys=True, default=str)
+    blob = json.dumps(sweep_record(), sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
