@@ -133,15 +133,13 @@ def kernel_rational(M):
         return []
     n = len(M[0])
     R, pivots, _ = _rref(M)
+    scale = lcm(*[row[pc] for row, pc in zip(R, pivots)])
     basis = []
     for fc in sorted(set(range(n)) - set(pivots)):
-        hits = [(row[fc], row[pc], pc) for row, pc in zip(R, pivots)
-                if row[fc]]
-        scale = lcm(*(p for _, p, _ in hits))
         v = [0] * n
         v[fc] = scale
-        for x, p, pc in hits:
-            v[pc] = -x * (scale // p)
+        for row, pc in zip(R, pivots):
+            v[pc] = -row[fc] * (scale // row[pc])
         g = gcd(*v)
         if next(x for x in v if x) < 0:
             g = -g
