@@ -1,11 +1,16 @@
-"""A sha256 digest pins the exact output of the homology and kernel
-code on a seeded sweep.
+"""sha256 digests pin the exact output of the homology, kernel and
+stabilizer code on seeded sweeps.
 
-The digest was captured from the Fraction row-reduction code that the
-fraction-free elimination kernel replaced.  H_1 coordinates, reduced
-echelon forms and primitive kernel vectors are unique, so any change
-in the bytes below is a change of answer, not of representation.
-`PYTHONPATH=src python tests/test_pinned_outputs.py` prints the digest.
+The homology digest was captured from the Fraction row-reduction code
+that the fraction-free elimination kernel replaced.  H_1 coordinates,
+reduced echelon forms and primitive kernel vectors are unique, so any
+change in those bytes is a change of answer, not of representation.
+
+The stabilizer digest was captured from the search that extended every
+reduced free word.  It covers the witness words themselves, their
+order, the primitive and the residual, so it also pins which word the
+search keeps for each affine map.
+`PYTHONPATH=src python tests/test_pinned_outputs.py` prints both digests.
 """
 
 import hashlib
@@ -15,12 +20,15 @@ from fractions import Fraction
 
 from minfol import intlinalg as la
 from minfol import permutations as perms
+from minfol.holonomy import parse_generator, stabilizer_search
 from minfol.homology import homology_basis, induced_action
 from minfol.origami import (Origami, WOLLMILCHSAU, lift_automorphism,
                             pillowcase_origami)
 from minfol.sl2z import IntMatrix2
 
 PINNED = "69b4e629a87e622016e8c0f603887c30f48d9cb5282205108313f75682c8c951"
+PINNED_STABILIZER = (
+    "9e497e81b5d46ed050c4a930c1efd42c83bbe80ca8da2d1a290c884d60f1c6ac")
 
 
 def _order(p):
@@ -87,16 +95,65 @@ def sweep_record():
     return rec
 
 
-def sweep_digest():
-    blob = json.dumps(sweep_record(), sort_keys=True)
+def _gens(specs):
+    return [parse_generator(s) for s in specs.split(";")]
+
+
+BS12 = _gens("aff:k=1,b=0;aff:k=0,b=1")
+# (generators, longest max_len swept); the cost grows like
+# (2n - 1)^max_len in the number n of generators
+STABILIZER_SETS = [
+    (BS12, 8),
+    (_gens("aff:k=1,b=1/3;aff:k=0,b=1"), 7),
+    (_gens("aff:k=1,b=0;aff:k=0,b=1;aff:k=-1,b=1/3"), 5),
+    (_gens("aff:k=0,b=1"), 7),
+    (_gens("aff:k=3,b=0;aff:k=5,b=0"), 6),
+    (_gens("aff:k=2,b=1;aff:k=-1,b=1/5"), 6),
+]
+
+
+def stabilizer_record():
+    rng = random.Random(20261018)
+    rec = []
+    for gens, top in STABILIZER_SETS:
+        for _ in range(24 if gens is BS12 else 12):
+            q = rng.choice([1, 3, 5, 7, 9, 15])
+            x = Fraction(rng.randrange(-9, 10), 2 ** rng.randrange(3) * q)
+            rec.append(stabilizer_search(gens, x, rng.randrange(1, top + 1))
+                       .to_json())
+    for x in (0.1, 1 / 3, -1 / 3, -0.75, 2.5):
+        for max_len in (3, 6):
+            for gens, _ in STABILIZER_SETS[:2]:
+                rec.append(stabilizer_search(gens, x, max_len).to_json())
+    for max_len in range(1, 9):
+        rec.append(stabilizer_search(BS12, Fraction(-1), max_len).to_json())
+    for max_len in range(1, 5):     # not cyclic until the 2x map appears
+        rec.append(stabilizer_search(STABILIZER_SETS[4][0], Fraction(0),
+                                     max_len).to_json())
+    return rec
+
+
+def _digest(rec):
+    blob = json.dumps(rec, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def sweep_digest():
+    return _digest(sweep_record())
 
 
 def test_sweep_digest_is_pinned():
     assert sweep_digest() == PINNED
 
 
+def test_stabilizer_digest_is_pinned():
+    assert _digest(stabilizer_record()) == PINNED_STABILIZER
+
+
 if __name__ == "__main__":
     rec = sweep_record()
     print(len(rec["basis"]), len(rec["action"]), len(rec["kernel"]))
-    print(sweep_digest())
+    print(_digest(rec))
+    rec = stabilizer_record()
+    print(len(rec), sum(1 for r in rec if r["witnesses"]))
+    print(_digest(rec))
