@@ -66,16 +66,21 @@ def _flatten(obj, prefix, rows):
         for i, item in enumerate(obj):
             _flatten(item, "%s.%d" % (prefix, i), rows)
     else:
-        rows.append("%s\t%s" % (prefix, json.dumps(obj)))
+        rows.append("%s\t%s" % (prefix, json.dumps(obj, allow_nan=False)))
 
 
-def _emit(report, tsv):
-    if tsv:
-        rows = []
-        _flatten(report, "", rows)
-        sys.stdout.write("\n".join(rows) + "\n")
-    else:
-        sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+def _render(report, tsv):
+    """The report as text.  NaN and infinities are not JSON, so a report
+    holding one is refused rather than printed."""
+    try:
+        if tsv:
+            rows = []
+            _flatten(report, "", rows)
+            return "\n".join(rows) + "\n"
+        return json.dumps(report, sort_keys=True, indent=2,
+                          allow_nan=False) + "\n"
+    except ValueError:
+        raise DomainError("the report holds a non-finite number")
 
 
 def _int_list(text):
@@ -440,13 +445,14 @@ def run(argv):
                 "threads": _env_int("MINFOL_THREADS"),
             },
         }
+        text = _render(report, args.tsv)
     except UsageError as exc:
         sys.stderr.write("usage error: %s\n" % exc)
         return 1
     except ValueError as exc:
         sys.stderr.write("domain error: %s\n" % exc)
         return 2
-    _emit(report, args.tsv)
+    sys.stdout.write(text)
     return 0
 
 

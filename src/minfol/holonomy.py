@@ -44,7 +44,10 @@ class Rotation:
     angle: float
 
     def __post_init__(self):
-        object.__setattr__(self, "angle", float(self.angle) % 1.0)
+        angle = float(self.angle)
+        if not math.isfinite(angle):
+            raise DomainError("rotation angle must be finite, got %r" % angle)
+        object.__setattr__(self, "angle", angle % 1.0)
 
     def apply(self, x):
         return (x + self.angle) % 1.0
@@ -70,6 +73,8 @@ class Mobius:
     d: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.a, self.b, self.c, self.d))):
+            raise DomainError("matrix entries must be finite")
         det = self.a * self.d - self.b * self.c
         if det <= 0:
             raise DomainError("matrix must have positive determinant")
@@ -163,7 +168,8 @@ def parse_generator(text):
 
     Forms: "rot:0.25", "dbl", "aff:k=1,b=0.5", "mob:a,b,c,d".  Affine
     translation parts parse as exact fractions ("1/3" or "0.5" both
-    work); the rest are floats.
+    work); the rest are floats, and a NaN or infinite one is a
+    DomainError.
     """
     text = text.strip()
     if text == "dbl":
@@ -228,6 +234,8 @@ def orbit_density(gens, start, n, epsilon, seed):
         raise DomainError("need at least one step")
     if not 0 < epsilon < 1:
         raise DomainError("epsilon must lie strictly between 0 and 1")
+    if not math.isfinite(start):
+        raise DomainError("start point must be finite, got %r" % start)
     state = seed & _LCG_MASK
     x = float(start) % 1.0
     points = [x]
@@ -304,8 +312,20 @@ class StabilizerReport:
 
 
 def stabilizer_search(gens, x, max_len):
-    """All reduced affine words up to max_len fixing x, with evidence
-    that the stabilizer they generate is trivial or cyclic.
+    """The affine maps within max_len letters that fix x, each named by
+    the first word that reaches it, with evidence that the stabilizer
+    they generate is trivial or cyclic.
+
+    The search is breadth first over the ball of radius max_len in the
+    group the generators generate, not over free words: a word is
+    extended only if it was the first to reach its map, in level order
+    with the new letter on the left and letters in the order g0, g0^-1,
+    g1, g1^-1, ...  This keeps exactly the words that enumerating every
+    reduced word would keep, since the first word to reach a map always
+    extends a first visitor one letter shorter.  For x -> 2x and
+    x -> x + 1, which generate BS(1,2), the ball grows about 1.75-fold
+    per letter where the reduced words grow 3-fold.  Witnesses are
+    listed in the order they are found.
 
     x is handled exactly (floats convert to their exact binary
     fraction); a word counts as a witness when |w(x) - x| < 1e-9, and
@@ -322,48 +342,40 @@ def stabilizer_search(gens, x, max_len):
     if max_len < 1:
         raise DomainError("need positive word length")
     x = Fraction(x)
+    # Fraction < float converts the float exactly on every call; once here
+    tol = Fraction(FIXED_POINT_TOL)
+    letters = [((idx, power), g if power == 1 else g.inverse())
+               for idx, g in enumerate(gens) for power in (1, -1)]
 
-    seen = {}
+    seen = {(0, Fraction(0))}
     witnesses = []
     residual = 0.0
-
-    def consider(word):
-        nonlocal residual
-        comp = word.composite
-        if comp.is_identity():
-            return
-        key = (comp.k, comp.b)
-        if key in seen:
-            return
-        seen[key] = word
-        err = comp.apply(x) - x
-        if abs(err) < FIXED_POINT_TOL:
-            for w in witnesses:
-                if w.composite.k == comp.k:
-                    assert w.composite.b == comp.b, \
-                        "two distinct affine maps with equal linear part " \
-                        "cannot fix the same point"
-            witnesses.append(word)
-            residual = max(residual, abs(float(err)))
-
     frontier = [PseudogroupWord((), AffineLine(0, 0))]
     for _ in range(max_len):
         nxt = []
         for word in frontier:
             first = word.letters[0] if word.letters else None
-            for idx, g in enumerate(gens):
-                for power in (1, -1):
-                    if first == (idx, -power):
-                        continue  # immediate cancellation
-                    letter_map = g if power == 1 else g.inverse()
-                    # the new letter acts after the present word, so it
-                    # lands on the left
-                    new = PseudogroupWord(
-                        ((idx, power),) + word.letters,
-                        letter_map.compose(word.composite))
-                    nxt.append(new)
-        for word in nxt:
-            consider(word)
+            for letter, letter_map in letters:
+                if first == (letter[0], -letter[1]):
+                    continue  # immediate cancellation
+                # the new letter acts after the present word, so it
+                # lands on the left
+                comp = letter_map.compose(word.composite)
+                key = (comp.k, comp.b)
+                if key in seen:
+                    continue
+                seen.add(key)
+                new = PseudogroupWord((letter,) + word.letters, comp)
+                nxt.append(new)
+                err = comp.apply(x) - x
+                if abs(err) < tol:
+                    for w in witnesses:
+                        if w.composite.k == comp.k:
+                            assert w.composite.b == comp.b, \
+                                "two distinct affine maps with equal " \
+                                "linear part cannot fix the same point"
+                    witnesses.append(new)
+                    residual = max(residual, abs(float(err)))
         frontier = nxt
 
     if not witnesses:
@@ -480,7 +492,10 @@ def verify_commutator_product(pairs, target):
     if isinstance(target, Rotation):
         theta = target.angle
     else:
-        theta = float(target) % 1.0
+        theta = float(target)
+        if not math.isfinite(theta):
+            raise DomainError("target angle must be finite, got %r" % theta)
+        theta %= 1.0
     prod = Mobius(1.0, 0.0, 0.0, 1.0)
     for f, h in pairs:
         if not isinstance(f, Mobius) or not isinstance(h, Mobius):

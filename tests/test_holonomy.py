@@ -82,7 +82,8 @@ def test_parse_generator_roundtrips():
     m = parse_generator("mob:2,1,1,1")
     assert isinstance(m, Mobius)
     for bad in ("spin:1", "mob:1,2,3", "aff:k=1", "aff:q=2,b=0",
-                "aff:k=1,b=1/0"):
+                "aff:k=1,b=1/0", "rot:nan", "rot:inf", "rot:-inf",
+                "mob:nan,1,1,1", "mob:2,1,1,inf"):
         with pytest.raises(DomainError):
             parse_generator(bad)
 
@@ -127,6 +128,9 @@ def test_orbit_density_validation():
         orbit_density([Doubling()], 0.0, 100, 0.0, 0)
     with pytest.raises(DomainError):
         orbit_density([Doubling()], 0.0, 100, 1.0, 0)
+    for start in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            orbit_density([Doubling()], start, 100, 0.1, 0)
 
 
 # ------------------------------------------------------------- stabilizer
@@ -183,6 +187,58 @@ def test_stabilizer_witnesses_are_exact():
     ks = sorted(w.composite.k for w in rep.witnesses)
     assert ks == [-3, -2, -1, 1, 2, 3]
     assert rep.residual == 0.0
+
+
+def _ord2(n):
+    """Multiplicative order of 2 modulo the odd part q of n (1 if q = 1)."""
+    q = n
+    while q % 2 == 0:
+        q //= 2
+    m = 1
+    while pow(2, m, q) != 1 % q:
+        m += 1
+    return m
+
+
+def test_stabilizer_matches_closed_form_for_bs12():
+    # x -> 2^k x + b with b in Z[1/2] fixes x = p / (2^e q), q odd, iff
+    # q | 2^k - 1 and b = x (1 - 2^k), so Stab(x) is generated by
+    # k = ord_q(2); a search long enough to find a witness finds it
+    gens = [AffineLine(1, Fraction(0)), AffineLine(0, Fraction(1))]
+    xs = {Fraction(p, 2 ** e * q) for q in range(1, 16, 2)
+          for e in range(3) for p in range(-9, 10)}
+    found = 0
+    for x in sorted(xs):
+        m = _ord2(x.denominator)
+        rep = stabilizer_search(gens, x, 8)
+        for w in rep.witnesses:
+            k, b = w.composite.k, w.composite.b
+            assert k % m == 0
+            assert b == x * (1 - Fraction(2) ** k)
+        if rep.witnesses:
+            found += 1
+            assert rep.structure == "cyclic"
+            assert abs(rep.primitive.composite.k) == m
+    assert (len(xs), found) == (245, 131)
+
+
+def test_stabilizer_search_explores_distinct_maps_only(monkeypatch):
+    # BS(1,2) has 7,667 elements within radius 11, against 354,292
+    # reduced words, and the search composes only extensions of the
+    # first word to reach each element
+    calls = [0]
+    compose = AffineLine.compose
+
+    def counted(self, other):
+        calls[0] += 1
+        return compose(self, other)
+
+    monkeypatch.setattr(AffineLine, "compose", counted)
+    gens = [AffineLine(1, Fraction(0)), AffineLine(0, Fraction(1))]
+    rep = stabilizer_search(gens, Fraction(-1), 11)
+    assert calls[0] <= 15000
+    assert rep.structure == "cyclic"
+    assert rep.primitive.composite == AffineLine(1, Fraction(1))
 
 
 def test_stabilizer_rejects_non_affine():
@@ -298,6 +354,8 @@ def test_commutator_detects_wrong_relation():
 def test_commutator_rejects_other_generators():
     with pytest.raises(DomainError):
         verify_commutator_product([(Rotation(0.3), Mobius(1, 0, 0, 1))], 0.0)
+    with pytest.raises(DomainError):
+        verify_commutator_product([], math.nan)   # nan gaps compare False
 
 
 def test_circular_distance():
