@@ -47,10 +47,6 @@ def mat_eq(A, B):
     return len(A) == len(B) and all(list(r) == list(s) for r, s in zip(A, B))
 
 
-def mat_neg(A):
-    return [[-x for x in row] for row in A]
-
-
 def _rref(M):
     """Reduced row echelon form over Q, computed over Z.
 
