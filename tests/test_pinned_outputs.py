@@ -100,8 +100,8 @@ def _gens(specs):
 
 
 BS12 = _gens("aff:k=1,b=0;aff:k=0,b=1")
-# (generators, longest max_len swept); the cost grows like
-# (2n - 1)^max_len in the number n of generators
+# (generators, longest max_len swept); kept short where the group is
+# close to free, whose ball grows like (2n - 1)^max_len for n generators
 STABILIZER_SETS = [
     (BS12, 8),
     (_gens("aff:k=1,b=1/3;aff:k=0,b=1"), 7),
@@ -138,12 +138,8 @@ def _digest(rec):
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def sweep_digest():
-    return _digest(sweep_record())
-
-
 def test_sweep_digest_is_pinned():
-    assert sweep_digest() == PINNED
+    assert _digest(sweep_record()) == PINNED
 
 
 def test_stabilizer_digest_is_pinned():
