@@ -10,10 +10,19 @@ The stabilizer digest was captured from the search that extended every
 reduced free word.  It covers the witness words themselves, their
 order, the primitive and the residual, so it also pins which word the
 search keeps for each affine map.
-`PYTHONPATH=src python tests/test_pinned_outputs.py` prints both digests.
+
+The lift digest was captured from the code that canonicalised every
+origami before comparing.  It covers the cat-map lift witness (or None)
+of every origami with at most 5 squares, and the canonical form and
+relabeling of a seeded sweep up to 64 squares, including origamis with
+many automorphisms, where several roots tie and the first least root
+must win.
+`PYTHONPATH=src python tests/test_pinned_outputs.py` prints all three
+digests.
 """
 
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -22,13 +31,16 @@ from minfol import intlinalg as la
 from minfol import permutations as perms
 from minfol.holonomy import parse_generator, stabilizer_search
 from minfol.homology import homology_basis, induced_action
-from minfol.origami import (Origami, WOLLMILCHSAU, lift_automorphism,
-                            pillowcase_origami)
-from minfol.sl2z import IntMatrix2
+from minfol.origami import (Origami, WOLLMILCHSAU, act_word, canonical_form,
+                            lift_automorphism, pillowcase_origami, relabel)
+from minfol.sl2z import GenToken, IntMatrix2
 
 PINNED = "69b4e629a87e622016e8c0f603887c30f48d9cb5282205108313f75682c8c951"
 PINNED_STABILIZER = (
     "9e497e81b5d46ed050c4a930c1efd42c83bbe80ca8da2d1a290c884d60f1c6ac")
+PINNED_LIFT = (
+    "9c4825de7e854b316b0a6789923fc99b8c9f03aaf392731153e8e997d8fdde11")
+CENSUS_LIFTS = 271
 
 
 def _order(p):
@@ -133,6 +145,56 @@ def stabilizer_record():
     return rec
 
 
+def census_origamis():
+    """Every origami with at most 5 squares, in a fixed order."""
+    for d in range(1, 6):
+        for sh in itertools.permutations(range(d)):
+            for sv in itertools.permutations(range(d)):
+                if perms.is_transitive([sh, sv], d):
+                    yield Origami(d, sh, sv)
+
+
+def _random_perm(rng, d):
+    p = list(range(d))
+    rng.shuffle(p)
+    return tuple(p)
+
+
+def _canonical_sweep(rng):
+    """Random origamis up to 64 squares, then randomly relabeled
+    origamis with many automorphisms: cyclic ones (every root ties),
+    pillowcase models and the Wollmilchsau, and their S and T images."""
+    out = []
+    while len(out) < 40:
+        d = rng.randrange(1, 65)
+        sh, sv = _random_perm(rng, d), _random_perm(rng, d)
+        if perms.is_transitive([sh, sv], d):
+            out.append(Origami(d, sh, sv))
+    symmetric = [WOLLMILCHSAU] + [
+        pillowcase_origami(n, (1, 1, 1, n - 3)) for n in range(4, 33, 4)]
+    for d in (1, 2, 6, 12, 30, 64):
+        k = rng.randrange(d)
+        symmetric.append(Origami(d, tuple((i + 1) % d for i in range(d)),
+                                 tuple((i + k) % d for i in range(d))))
+    for o in symmetric:
+        for word in ((), (GenToken.S,), (GenToken.T,)):
+            img = act_word(word, o)
+            out.append(relabel(img, _random_perm(rng, img.d)))
+    return out
+
+
+def lift_record():
+    cat = IntMatrix2(2, 1, 1, 1)
+    rec = {"census": [], "canonical": []}
+    for o in census_origamis():
+        w = lift_automorphism(cat, o)
+        rec["census"].append(None if w is None else w.to_json())
+    for o in _canonical_sweep(random.Random(20261118)):
+        c, r = canonical_form(o)
+        rec["canonical"].append([c.sigma_h, c.sigma_v, r])
+    return rec
+
+
 def _digest(rec):
     blob = json.dumps(rec, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
@@ -146,10 +208,21 @@ def test_stabilizer_digest_is_pinned():
     assert _digest(stabilizer_record()) == PINNED_STABILIZER
 
 
+def test_lift_digest_is_pinned():
+    rec = lift_record()
+    assert len(rec["census"]) == 11520
+    assert sum(w is not None for w in rec["census"]) == CENSUS_LIFTS
+    assert _digest(rec) == PINNED_LIFT
+
+
 if __name__ == "__main__":
     rec = sweep_record()
     print(len(rec["basis"]), len(rec["action"]), len(rec["kernel"]))
     print(_digest(rec))
     rec = stabilizer_record()
     print(len(rec), sum(1 for r in rec if r["witnesses"]))
+    print(_digest(rec))
+    rec = lift_record()
+    print(len(rec["census"]), sum(w is not None for w in rec["census"]),
+          len(rec["canonical"]))
     print(_digest(rec))
