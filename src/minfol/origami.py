@@ -17,7 +17,7 @@ tokens must reproduce their own matrices.
 """
 
 from dataclasses import dataclass
-from math import gcd
+from functools import lru_cache
 
 from .errors import DomainError
 from . import permutations as perms
@@ -142,41 +142,47 @@ def relabel(o, r):
                    perms.conjugate(o.sigma_v, r))
 
 
-def _bfs_labeling(o, root):
-    new = [None] * o.d
-    new[root] = 0
-    order = [root]
-    count = 1
-    head = 0
-    while head < len(order):
-        x = order[head]
-        head += 1
-        for y in (o.sigma_h[x], o.sigma_v[x]):
-            if new[y] is None:
-                new[y] = count
-                count += 1
-                order.append(y)
-    assert count == o.d
-    return tuple(new)
-
-
 def canonical_form(o):
     """Canonical representative of the relabeling class.
 
     Breadth-first relabelings from every root square; the
-    lexicographically least (sigma_h, sigma_v) wins.  Two origamis are
-    isomorphic iff their canonical forms coincide.  Returns
-    (canonical origami, relabeling r) with relabel(o, r) canonical.
+    lexicographically least (sigma_h, sigma_v) wins, the first least
+    root on ties.  Two origamis are isomorphic iff their canonical forms
+    coincide.  Returns (canonical origami, relabeling r) with
+    relabel(o, r) canonical.
+
+    Entry i of the relabeled sigma_h is known once the BFS has expanded
+    the square labeled i, so a root is abandoned as soon as that prefix
+    exceeds the best sigma_h so far.
     """
-    best = None
-    best_r = None
-    for root in range(o.d):
-        r = _bfs_labeling(o, root)
-        cand = (perms.conjugate(o.sigma_h, r), perms.conjugate(o.sigma_v, r))
-        if best is None or cand < best:
-            best = cand
-            best_r = r
-    return Origami(o.d, best[0], best[1]), best_r
+    d, sh, sv = o.d, o.sigma_h, o.sigma_v
+    best_h = best_v = best_r = None
+    for root in range(d):
+        new = [-1] * d
+        new[root] = 0
+        order = [root]
+        count = 1
+        cand_h = []
+        tied = best_h is not None    # cand_h equals best_h so far
+        for x in order:
+            for y in (sh[x], sv[x]):
+                if new[y] < 0:
+                    new[y] = count
+                    count += 1
+                    order.append(y)
+            h = new[sh[x]]
+            if tied:
+                b = best_h[len(cand_h)]
+                if h > b:
+                    break
+                tied = h == b
+            cand_h.append(h)
+        else:
+            assert count == d
+            cand_v = tuple(new[sv[x]] for x in order)
+            if not tied or cand_v < best_v:
+                best_h, best_v, best_r = tuple(cand_h), cand_v, tuple(new)
+    return Origami(d, best_h, best_v), best_r
 
 
 @dataclass(frozen=True)
@@ -199,6 +205,14 @@ class LiftWitness:
         }
 
 
+@lru_cache(maxsize=64)
+def _anosov_word(A):
+    """Generator word of an Anosov matrix, computed once per matrix."""
+    if not isinstance(classify(A), Anosov):
+        raise DomainError("lifting is defined for Anosov matrices only")
+    return tuple(decompose_st(A))
+
+
 def lift_automorphism(A, o):
     """Combinatorial lift of a hyperbolic torus map to an origami.
 
@@ -206,11 +220,17 @@ def lift_automorphism(A, o):
     word, and looks for a relabeling returning the original gluings.
     Returns a verified LiftWitness, or None when the orbit moved (no
     lift exists through this construction).
+
+    A relabeling conjugates both gluings, so an image whose gluings
+    differ from those of o in cycle type is rejected before either
+    canonical form is computed; the rejection is exact.
     """
-    if not isinstance(classify(A), Anosov):
-        raise DomainError("lifting is defined for Anosov matrices only")
-    word = tuple(decompose_st(A))
+    word = _anosov_word(A)
     image = act_word(word, o)
+    if (perms.cycle_lengths(image.sigma_h) != perms.cycle_lengths(o.sigma_h)
+            or perms.cycle_lengths(image.sigma_v)
+            != perms.cycle_lengths(o.sigma_v)):
+        return None
     canon_o, r_o = canonical_form(o)
     canon_img, r_img = canonical_form(image)
     if canon_o != canon_img:

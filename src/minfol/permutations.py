@@ -85,7 +85,25 @@ def orbits(gens, n):
 
 
 def is_transitive(gens, n):
-    return len(orbits(gens, n)) <= 1
+    """True when the group generated by gens has at most one orbit:
+    one search from 0 that stops once every point is reached."""
+    if n == 0:
+        return True
+    seen = [False] * n
+    seen[0] = True
+    stack = [0]
+    count = 1
+    while stack:
+        x = stack.pop()
+        for g in gens:
+            y = g[x]
+            if not seen[y]:
+                seen[y] = True
+                count += 1
+                if count == n:
+                    return True
+                stack.append(y)
+    return count == n
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")

@@ -12,6 +12,7 @@ this module builds the manifolds themselves.
 """
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -55,6 +56,10 @@ class MonodromySummary:
             if self.stretch is None:
                 raise DomainError("stretch factor required for %s"
                                   % self.kind.value)
+            if isinstance(self.stretch, float) and \
+                    not math.isfinite(self.stretch):
+                raise DomainError("stretch factor must be finite, got %r"
+                                  % self.stretch)
             if not (self.stretch > 1):
                 raise DomainError("stretch factor must exceed 1")
         elif self.stretch is not None:

@@ -5,6 +5,7 @@ import jsonschema
 import pytest
 
 import minfol
+from minfol import cli
 from minfol.cli import run
 
 SCHEMA_PATH = pathlib.Path(minfol.__file__).parent / "schema" / \
@@ -185,3 +186,18 @@ def test_lift_failure_is_reported_not_an_error(capsys):
     assert rep["results"]["exists"] in (True, False)
     if not rep["results"]["exists"]:
         assert "certificate" in rep["results"]
+
+
+@pytest.mark.parametrize("tsv", [(), ("--tsv",)])
+def test_report_writer_refuses_non_finite_numbers(capsys, monkeypatch, tsv):
+    # handlers reject non-finite input themselves, so a stand-in handler
+    # that returns infinity is what reaches the writer's backstop
+    def infinite(args, inputs):
+        return {"value": float("inf")}
+
+    rows = [row[:3] + (infinite,) if row[0] == "classify" else row
+            for row in cli.COMMANDS]
+    monkeypatch.setattr(cli, "COMMANDS", rows)
+    code, out, err = invoke(capsys, *tsv, "classify", "--matrix", "2 1 1 1")
+    assert (code, out) == (2, "")
+    assert err == "domain error: the report holds a non-finite number\n"

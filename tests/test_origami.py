@@ -1,14 +1,16 @@
+import itertools
 import random
 
 import pytest
 
 from minfol.errors import DomainError
+from minfol import origami
 from minfol import permutations as perms
 from minfol.cover import pillowcase_genus
 from minfol.origami import (Origami, named_origami, TORUS, WOLLMILCHSAU,
                             sl2z_act, act_word, relabel, canonical_form,
                             lift_automorphism, pillowcase_origami)
-from minfol.sl2z import IntMatrix2, GenToken
+from minfol.sl2z import IntMatrix2, GenToken, decompose_st
 
 CAT = IntMatrix2(2, 1, 1, 1)
 
@@ -175,6 +177,70 @@ def test_lift_rejects_non_anosov():
         lift_automorphism(IntMatrix2(1, 1, 0, 1), WOLLMILCHSAU)
     with pytest.raises(DomainError):
         lift_automorphism(IntMatrix2(0, -1, 1, 0), TORUS)
+
+
+def test_lift_computes_the_word_once_per_matrix(monkeypatch):
+    calls = {"classify": 0, "decompose_st": 0}
+    for name in calls:
+        def counted(A, fn=getattr(origami, name), name=name):
+            calls[name] += 1
+            return fn(A)
+        monkeypatch.setattr(origami, name, counted)
+    origami._anosov_word.cache_clear()
+    w1 = lift_automorphism(CAT, WOLLMILCHSAU)
+    w2 = lift_automorphism(IntMatrix2(2, 1, 1, 1), TORUS)
+    assert calls == {"classify": 1, "decompose_st": 1}
+    assert w1.word == w2.word == tuple(decompose_st(CAT))
+    # exceptions are not cached: a non-Anosov matrix fails every time
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            lift_automorphism(IntMatrix2(1, 1, 0, 1), TORUS)
+    assert calls == {"classify": 3, "decompose_st": 1}
+
+
+def _census():
+    for d in range(1, 6):
+        for sh in itertools.permutations(range(d)):
+            for sv in itertools.permutations(range(d)):
+                if perms.is_transitive([sh, sv], d):
+                    yield Origami(d, sh, sv)
+
+
+def test_lift_rejects_on_cycle_types_before_canonical_forms(monkeypatch):
+    # 271 of the 11,520 origamis with d <= 5 lift the cat map, and
+    # 295 pass the cycle-type test; canonicalising o and its image for
+    # every origami would take 23,040 calls
+    calls = [0]
+    canonical = origami.canonical_form
+
+    def counted(o):
+        calls[0] += 1
+        return canonical(o)
+
+    monkeypatch.setattr(origami, "canonical_form", counted)
+    lifts = sum(lift_automorphism(CAT, o) is not None for o in _census())
+    assert lifts == 271
+    assert calls[0] <= 2 * 300
+
+
+def test_cycle_type_rejection_is_exact():
+    rng = random.Random(41)
+    matrices = [CAT, CAT ** 2, IntMatrix2(1, 1, 1, 2), IntMatrix2(2, 3, 1, 2),
+                IntMatrix2(7, 2, 3, 1)]
+    differ = 0
+    for trial in range(300):
+        o = random_origami(rng, dmax=9)
+        A = rng.choice(matrices)
+        img = act_word(decompose_st(A), o)
+        same = canonical_form(o)[0] == canonical_form(img)[0]
+        assert (lift_automorphism(A, o) is not None) == same
+        if (perms.cycle_lengths(img.sigma_h)
+                != perms.cycle_lengths(o.sigma_h)
+                or perms.cycle_lengths(img.sigma_v)
+                != perms.cycle_lengths(o.sigma_v)):
+            differ += 1
+            assert not same
+    assert differ > 100
 
 
 def test_lift_respects_conjugated_copies():

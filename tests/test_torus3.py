@@ -42,6 +42,10 @@ def test_summary_validation():
         MonodromySummary(1, MonodromyClass.ANOSOV, stretch=Fraction(1, 2))
     with pytest.raises(DomainError):
         MonodromySummary(2, MonodromyClass.PERIODIC, stretch=LAMBDA)
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(DomainError,
+                           match="stretch factor must be finite"):
+            MonodromySummary(2, MonodromyClass.PSEUDO_ANOSOV, stretch=bad)
     with pytest.raises(DomainError):
         MonodromySummary(2, MonodromyClass.PERIODIC, torelli_k=5)
 
