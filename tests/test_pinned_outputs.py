@@ -17,7 +17,14 @@ of every origami with at most 5 squares, and the canonical form and
 relabeling of a seeded sweep up to 64 squares, including origamis with
 many automorphisms, where several roots tie and the first least root
 must win.
-`PYTHONPATH=src python tests/test_pinned_outputs.py` prints all three
+
+The dynamics digest was captured from the orbit, rotation-number and
+periodic-point code that dispatched on the generator type at every
+step and enumerated periodic points as Fraction pairs.  Orbit gaps and
+rotation numbers are floats, pinned through their repr (json.dumps
+writes floats by repr), so any change in the order or kind of float
+operations shows.
+`PYTHONPATH=src python tests/test_pinned_outputs.py` prints all four
 digests.
 """
 
@@ -29,17 +36,20 @@ from fractions import Fraction
 
 from minfol import intlinalg as la
 from minfol import permutations as perms
-from minfol.holonomy import parse_generator, stabilizer_search
+from minfol.holonomy import (orbit_density, parse_generator,
+                             rotation_number, stabilizer_search)
 from minfol.homology import homology_basis, induced_action
 from minfol.origami import (Origami, WOLLMILCHSAU, act_word, canonical_form,
                             lift_automorphism, pillowcase_origami, relabel)
-from minfol.sl2z import GenToken, IntMatrix2
+from minfol.sl2z import GenToken, IntMatrix2, periodic_points
 
 PINNED = "69b4e629a87e622016e8c0f603887c30f48d9cb5282205108313f75682c8c951"
 PINNED_STABILIZER = (
     "9e497e81b5d46ed050c4a930c1efd42c83bbe80ca8da2d1a290c884d60f1c6ac")
 PINNED_LIFT = (
     "9c4825de7e854b316b0a6789923fc99b8c9f03aaf392731153e8e997d8fdde11")
+PINNED_DYNAMICS = (
+    "f2dec0121c1bae0c7482f200a768dae1373ad81e0eaf0a02bcbef065c28dc939")
 CENSUS_LIFTS = 271
 
 
@@ -195,6 +205,78 @@ def lift_record():
     return rec
 
 
+# fixed generator sets for the orbit sweep: every generator kind the
+# circle step dispatches on, a scalar Mobius map (the exact identity)
+# among them, and affine maps with k >= 0
+ORBIT_SETS = [
+    "dbl;rot:0.41421356",
+    "rot:0.1;rot:0.7071067811865476",
+    "aff:k=0,b=1/3;aff:k=1,b=1/5",
+    "aff:k=2,b=0;rot:0.3",
+    "mob:2,1,1,1;rot:0.25",
+    "mob:3,0,0,3;dbl",
+    "mob:1,1,0,1;mob:1,0,1,1;aff:k=1,b=-2/7",
+    "aff:k=3,b=5/2;mob:0.6,-0.8,0.8,0.6;rot:-0.125",
+]
+PERIODIC_CASES = [((2, 1, 1, 1), 10), ((3, 2, 1, 1), 6), ((2, 3, 1, 2), 6),
+                  ((5, 2, 2, 1), 5), ((-2, -1, -1, -1), 6),
+                  ((1, 2, 1, 3), 6)]
+
+
+def _random_mobius_spec(rng):
+    while True:
+        a, b, c, d = (round(rng.uniform(-3, 3), 3) for _ in range(4))
+        if a * d - b * c > 0.1:
+            return "mob:%r,%r,%r,%r" % (a, b, c, d)
+
+
+def _random_circle_spec(rng, affine_k):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return "rot:%r" % rng.uniform(-2, 2)
+    if kind == 1:
+        return _random_mobius_spec(rng)
+    if kind == 2:
+        return "aff:k=%d,b=%d/%d" % (rng.choice(affine_k),
+                                     rng.randrange(-20, 21),
+                                     rng.randrange(1, 12))
+    return "dbl" if 1 in affine_k else "rot:%r" % rng.random()
+
+
+def dynamics_record():
+    rng = random.Random(20261119)
+    rec = {"orbit": [], "rotation": [], "periodic": []}
+    sets = ORBIT_SETS + [
+        ";".join(_random_circle_spec(rng, (0, 1, 2, 3))
+                 for _ in range(rng.randrange(1, 5)))
+        for _ in range(16)]
+    for specs in sets:
+        gens = _gens(specs)
+        for n in (1, 7, 3000):
+            start = rng.uniform(-3, 3)
+            rec["orbit"].append([specs, repr(start), n, orbit_density(
+                gens, start, n, rng.choice((1e-3, 0.05, 0.5)),
+                rng.randrange(2 ** 64)).to_json()])
+    words = ["rot:0.41421356", "rot:0.3;rot:0.45", "aff:k=0,b=1/4",
+             "mob:1,1,0,1", "mob:2,1,1,1;rot:0.2;mob:1,-1,-1,2",
+             "mob:3,0,0,3;aff:k=0,b=-5/3"] + [
+        ";".join(_random_circle_spec(rng, (0,))
+                 for _ in range(rng.randrange(1, 5)))
+        for _ in range(14)]
+    for specs in words:
+        gens = _gens(specs)
+        word = gens[0] if len(gens) == 1 else gens
+        for n in (100, 2500):
+            rec["rotation"].append(
+                [specs, rotation_number(word, n).to_json()])
+    for m, top in PERIODIC_CASES:
+        for n in range(1, top + 1):
+            count, pts = periodic_points(IntMatrix2(*m), n)
+            rec["periodic"].append(
+                [m, n, count, [[str(x), str(y)] for x, y in pts]])
+    return rec
+
+
 def _digest(rec):
     blob = json.dumps(rec, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
@@ -215,6 +297,10 @@ def test_lift_digest_is_pinned():
     assert _digest(rec) == PINNED_LIFT
 
 
+def test_dynamics_digest_is_pinned():
+    assert _digest(dynamics_record()) == PINNED_DYNAMICS
+
+
 if __name__ == "__main__":
     rec = sweep_record()
     print(len(rec["basis"]), len(rec["action"]), len(rec["kernel"]))
@@ -225,4 +311,8 @@ if __name__ == "__main__":
     rec = lift_record()
     print(len(rec["census"]), sum(w is not None for w in rec["census"]),
           len(rec["canonical"]))
+    print(_digest(rec))
+    rec = dynamics_record()
+    print(len(rec["orbit"]), len(rec["rotation"]),
+          sum(r[2] for r in rec["periodic"]))
     print(_digest(rec))
