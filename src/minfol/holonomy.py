@@ -21,8 +21,10 @@ reports they decide.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .errors import DomainError
 
@@ -33,10 +35,6 @@ GRID = 1024
 _LCG_MUL = 6364136223846793005
 _LCG_ADD = 1442695040888963407
 _LCG_MASK = (1 << 64) - 1
-
-
-def _lcg_next(state):
-    return (_LCG_MUL * state + _LCG_ADD) & _LCG_MASK
 
 
 @dataclass(frozen=True)
@@ -76,6 +74,9 @@ class Mobius:
         if not all(map(math.isfinite, (self.a, self.b, self.c, self.d))):
             raise DomainError("matrix entries must be finite")
         det = self.a * self.d - self.b * self.c
+        if not math.isfinite(det):
+            raise DomainError("matrix determinant must be finite, got %r "
+                              "(the entries overflow)" % det)
         if det <= 0:
             raise DomainError("matrix must have positive determinant")
         s = math.sqrt(det)
@@ -84,13 +85,7 @@ class Mobius:
                 object.__setattr__(self, name, getattr(self, name) / s)
 
     def apply(self, x):
-        if self.b == 0.0 and self.c == 0.0 and self.a == self.d:
-            return x % 1.0  # scalar matrices act as the exact identity
-        u0 = math.cos(math.pi * x)
-        u1 = math.sin(math.pi * x)
-        w0 = self.a * u0 + self.b * u1
-        w1 = self.c * u0 + self.d * u1
-        return (math.atan2(w1, w0) / math.pi) % 1.0
+        return _circle_step(self)(x)
 
     def inverse(self):
         return Mobius(self.d, -self.b, -self.c, self.a)
@@ -105,6 +100,13 @@ class Mobius:
         return "mob:%r,%r,%r,%r" % (self.a, self.b, self.c, self.d)
 
 
+def _times_power_of_two(q, k):
+    """2^k q as a Fraction, for an int or Fraction q, by shifting."""
+    if k >= 0:
+        return Fraction(q.numerator << k, q.denominator)
+    return Fraction(q.numerator, q.denominator << -k)
+
+
 @dataclass(frozen=True)
 class AffineLine:
     """x -> 2^k x + b on the real line; k exact, b an exact Fraction."""
@@ -114,29 +116,56 @@ class AffineLine:
     def __post_init__(self):
         if not isinstance(self.k, int):
             raise DomainError("exponent must be an integer")
-        object.__setattr__(self, "b", Fraction(self.b))
+        if not isinstance(self.b, Fraction):
+            object.__setattr__(self, "b", Fraction(self.b))
 
     def scale(self):
         return Fraction(2) ** self.k
 
     def apply(self, x):
         if isinstance(x, (int, Fraction)):
-            return self.scale() * x + self.b
+            return _times_power_of_two(x, self.k) + self.b
         return float(self.scale()) * x + float(self.b)
 
-    def circle_apply(self, x):
-        # only integral linear parts descend to R/Z
+    def _circle_parts(self):
+        """(2^k, b) as floats, the map's action on R/Z.
+
+        Only integral linear parts descend to R/Z.  Both parts must be
+        finite and 2^k + |b| too, so that 2^k x + b stays finite for
+        every x in [0, 1).
+        """
         if self.k < 0:
             raise DomainError(
                 "affine maps with linear part below 1 do not act on R/Z")
-        return (float(self.scale()) * x + float(self.b)) % 1.0
+        try:
+            scale, shift = float(1 << self.k), float(self.b)
+        except OverflowError:
+            scale = shift = math.inf
+        if not math.isfinite(scale + abs(shift)):
+            raise DomainError("affine map with k=%d overflows floating point "
+                              "on R/Z: 2^k + |b| must stay below 2^1024"
+                              % self.k)
+        return scale, shift
+
+    def circle_apply(self, x):
+        scale, shift = self._circle_parts()
+        return (scale * x + shift) % 1.0
 
     def compose(self, other):
-        return AffineLine(self.k + other.k,
-                          self.scale() * other.b + self.b)
+        # 2^k b' + b over the denominator d' d (d' shifted when k < 0),
+        # as one Fraction rather than a product and a sum
+        k, b = self.k, self.b
+        n, d = other.b.numerator, other.b.denominator
+        if k >= 0:
+            n <<= k
+        else:
+            d <<= -k
+        return AffineLine(k + other.k,
+                          Fraction(n * b.denominator + b.numerator * d,
+                                   d * b.denominator))
 
     def inverse(self):
-        return AffineLine(-self.k, -self.b / self.scale())
+        return AffineLine(-self.k, _times_power_of_two(-self.b, -self.k))
 
     def is_identity(self):
         return self.k == 0 and self.b == 0
@@ -198,10 +227,30 @@ def parse_generator(text):
     raise DomainError("unrecognized generator spec %r" % text)
 
 
-def _circle_apply(gen, x):
+def _circle_step(gen):
+    """x -> gen(x) on R/Z as one plain function, built once per orbit
+    or lift rather than dispatched on the generator type at every step.
+
+    Affine and Mobius steps hold their coefficients as locals; they do
+    the same float operations, in the same order, as circle_apply and
+    Mobius.apply.  Other generators step through their own apply.
+    """
     if isinstance(gen, AffineLine):
-        return gen.circle_apply(x)
-    return gen.apply(x)
+        scale, shift = gen._circle_parts()
+        return lambda x: (scale * x + shift) % 1.0
+    if isinstance(gen, Mobius):
+        a, b, c, d = gen.a, gen.b, gen.c, gen.d
+        if b == 0.0 and c == 0.0 and a == d:
+            return lambda x: x % 1.0  # scalar matrices act as the identity
+        cos, sin, atan2, pi = math.cos, math.sin, math.atan2, math.pi
+
+        def step(x):
+            # the chart point [cos(pi x) : sin(pi x)], mapped and read back
+            u0 = cos(pi * x)
+            u1 = sin(pi * x)
+            return (atan2(c * u0 + d * u1, a * u0 + b * u1) / pi) % 1.0
+        return step
+    return gen.apply
 
 
 @dataclass(frozen=True)
@@ -236,20 +285,21 @@ def orbit_density(gens, start, n, epsilon, seed):
         raise DomainError("epsilon must lie strictly between 0 and 1")
     if not math.isfinite(start):
         raise DomainError("start point must be finite, got %r" % start)
-    state = seed & _LCG_MASK
+    steps = [_circle_step(g) for g in gens]
+    m = len(steps)
+    mul, add, mask = _LCG_MUL, _LCG_ADD, _LCG_MASK
+    state = seed & mask
     x = float(start) % 1.0
     points = [x]
+    append = points.append
     for _ in range(n):
-        state = _lcg_next(state)
-        g = gens[(state >> 33) % len(gens)]
-        x = _circle_apply(g, x)
-        points.append(x)
+        state = (mul * state + add) & mask
+        x = steps[(state >> 33) % m](x)
+        append(x)
     points.sort()
-    max_gap = 1.0 - points[-1] + points[0]
-    for prev, cur in zip(points, points[1:]):
-        gap = cur - prev
-        if gap > max_gap:
-            max_gap = gap
+    # the wrap-around gap, then the largest gap between neighbours
+    max_gap = max(1.0 - points[-1] + points[0],
+                  max(map(operator.sub, islice(points, 1, None), points)))
     return OrbitStats(n_steps=n, max_gap=max_gap, epsilon=epsilon,
                       epsilon_dense=max_gap < epsilon)
 
@@ -342,12 +392,15 @@ def stabilizer_search(gens, x, max_len):
     if max_len < 1:
         raise DomainError("need positive word length")
     x = Fraction(x)
-    # Fraction < float converts the float exactly on every call; once here
+    p, q = x.numerator, x.denominator
+    # the test |w(x) - x| < tol runs in integers: with w(x) = 2^k x + n/d
+    # and tol = tn/td, it reads |e| td < tn f for w(x) - x = e/f
     tol = Fraction(FIXED_POINT_TOL)
+    tn, td = tol.numerator, tol.denominator
     letters = [((idx, power), g if power == 1 else g.inverse())
                for idx, g in enumerate(gens) for power in (1, -1)]
 
-    seen = {(0, Fraction(0))}
+    seen = {(0, 0, 1)}
     witnesses = []
     residual = 0.0
     frontier = [PseudogroupWord((), AffineLine(0, 0))]
@@ -361,21 +414,28 @@ def stabilizer_search(gens, x, max_len):
                 # the new letter acts after the present word, so it
                 # lands on the left
                 comp = letter_map.compose(word.composite)
-                key = (comp.k, comp.b)
+                k, n, d = comp.k, comp.b.numerator, comp.b.denominator
+                # ints hash cheaply; Fraction.__hash__ takes a modular
+                # inverse on every lookup
+                key = (k, n, d)
                 if key in seen:
                     continue
                 seen.add(key)
                 new = PseudogroupWord((letter,) + word.letters, comp)
                 nxt.append(new)
-                err = comp.apply(x) - x
-                if abs(err) < tol:
+                if k >= 0:
+                    e, f = ((p << k) - p) * d + n * q, q * d
+                else:
+                    e, f = (p - (p << -k)) * d + (n * q << -k), q * d << -k
+                if abs(e) * td < tn * f:
                     for w in witnesses:
                         if w.composite.k == comp.k:
                             assert w.composite.b == comp.b, \
                                 "two distinct affine maps with equal " \
                                 "linear part cannot fix the same point"
                     witnesses.append(new)
-                    residual = max(residual, abs(float(err)))
+                    # int / int rounds correctly, as float(Fraction) does
+                    residual = max(residual, abs(e) / f)
         frontier = nxt
 
     if not witnesses:
@@ -407,18 +467,19 @@ def _lift_factory(gen):
             raise DomainError(
                 "affine maps with linear part not 1 are not circle "
                 "homeomorphisms")
-        shift = float(gen.b) % 1.0
+        shift = gen._circle_parts()[1] % 1.0
         return lambda x: x + shift
     if isinstance(gen, Rotation):
         shift = gen.angle
         return lambda x: x + shift
     if isinstance(gen, Mobius):
-        f0 = gen.apply(0.0)
+        apply, floor = _circle_step(gen), math.floor
+        f0 = apply(0.0)
 
         def lift(x):
-            n = math.floor(x)
+            n = floor(x)
             t = x - n
-            y = gen.apply(t)
+            y = apply(t)
             if y < f0:
                 y += 1.0
             return y + n
@@ -449,16 +510,11 @@ def rotation_number(word, n):
     gens = list(word) if isinstance(word, (list, tuple)) else [word]
     if not gens:
         raise DomainError("empty word")
-    lifts = [_lift_factory(g) for g in gens]
-
-    def total(x):
-        for lift in reversed(lifts):
-            x = lift(x)
-        return x
-
+    lifts = [_lift_factory(g) for g in reversed(gens)]  # rightmost first
     x = 0.0
     for _ in range(n):
-        x = total(x)
+        for lift in lifts:
+            x = lift(x)
     return RotationNumberReport(value=(x / n) % 1.0, error=1.0 / n, n=n)
 
 
@@ -503,9 +559,10 @@ def verify_commutator_product(pairs, target):
         comm = f.matmul(h).matmul(f.inverse()).matmul(h.inverse())
         prod = prod.matmul(comm)
     worst = 0.0
+    prod_step = _circle_step(prod)
     for j in range(GRID):
         xj = j / GRID
-        dev = circular_distance(prod.apply(xj), (xj + theta) % 1.0)
+        dev = circular_distance(prod_step(xj), (xj + theta) % 1.0)
         if dev > worst:
             worst = dev
     return CommutatorCheck(max_deviation=worst, ok=worst < IDENTITY_TOL)

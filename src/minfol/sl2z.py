@@ -386,12 +386,22 @@ def _complete_unimodular(w):
     return (old_t, -old_s)
 
 
+# periodic_points lists at most this many points; |det(A^n - I)| grows
+# like lambda^n, so (cat, 11) with 39,601 points passes and (cat, 12)
+# with 103,680 is refused
+MAX_PERIODIC_POINTS = 100000
+
+
 def periodic_points(A, n):
     """Points of the torus (Q/Z)^2 fixed by A^n, for Anosov A.
 
     Returns (count, points) with count = |det(A^n - I)| and points a
     sorted list of Fraction pairs in [0, 1).  Solved exactly through
-    the Smith normal form of A^n - I.
+    the Smith normal form of A^n - I: with D = diag(d1, d2) and A^n - I
+    = U^-1 D V^-1, the points are V (i/d1, j/d2) mod 1.  They are
+    enumerated as integer numerators over the common denominator
+    count = d1 d2, and a count above MAX_PERIODIC_POINTS is refused
+    before any is listed.
     """
     _check_sl2z(A)
     if n < 1:
@@ -404,18 +414,23 @@ def periodic_points(A, n):
     det = B[0][0] * B[1][1] - B[0][1] * B[1][0]
     count = abs(det)
     assert count > 0
+    if count > MAX_PERIODIC_POINTS:
+        raise DomainError("A^%d has %d fixed points, more than the %d that "
+                          "periodic_points lists" % (n, count,
+                                                     MAX_PERIODIC_POINTS))
     U, D, V = smith_normal_form(B)
     d1, d2 = D[0][0], D[1][1]
     assert d1 * d2 == count
-    points = set()
-    for i in range(d1):
-        for j in range(d2):
-            y = (Fraction(i, d1), Fraction(j, d2))
-            x = (V[0][0] * y[0] + V[0][1] * y[1],
-                 V[1][0] * y[0] + V[1][1] * y[1])
-            points.add((x[0] % 1, x[1] % 1))
+    # numerators over count of V (i/d1, j/d2): i/d1 = i d2/count, and
+    # j/d2 = j d1/count
+    a0, a1 = V[0][0] * d2 % count, V[1][0] * d2 % count
+    b0, b1 = V[0][1] * d1 % count, V[1][1] * d1 % count
+    points = {((a0 * i + b0 * j) % count, (a1 * i + b1 * j) % count)
+              for i in range(d1) for j in range(d2)}
     assert len(points) == count
-    return count, sorted(points)
+    # one Fraction per numerator; equal denominators sort as numerators
+    frac = [Fraction(v, count) for v in range(count)]
+    return count, [(frac[u], frac[v]) for u, v in sorted(points)]
 
 
 class GenToken(Enum):

@@ -73,6 +73,21 @@ def test_affine_line_on_circle():
         AffineLine(-1, Fraction(0)).circle_apply(0.5)
 
 
+def test_affine_line_float_overflow_is_a_domain_error():
+    # 2^1023 is the largest power of two a float holds; 2^k + |b| must
+    # stay finite so that 2^k x + b does for every x in [0, 1)
+    assert AffineLine(1023, Fraction(0)).circle_apply(0.5) == 0.0
+    for f in (AffineLine(2000, Fraction(0)), AffineLine(1024, Fraction(0)),
+              AffineLine(1023, Fraction(10) ** 308),
+              AffineLine(0, Fraction(10) ** 400)):
+        with pytest.raises(DomainError, match="overflows floating point"):
+            f.circle_apply(0.5)
+        with pytest.raises(DomainError, match="overflows floating point"):
+            orbit_density([f], 0.25, 10, 0.1, 0)
+    with pytest.raises(DomainError, match="overflows floating point"):
+        rotation_number(AffineLine(0, Fraction(10) ** 400), 100)
+
+
 def test_parse_generator_roundtrips():
     assert parse_generator("dbl") == Doubling()
     assert parse_generator("rot:0.25") == Rotation(0.25)
@@ -85,6 +100,11 @@ def test_parse_generator_roundtrips():
                 "aff:k=1,b=1/0", "rot:nan", "rot:inf", "rot:-inf",
                 "mob:nan,1,1,1", "mob:2,1,1,inf"):
         with pytest.raises(DomainError):
+            parse_generator(bad)
+    # finite entries whose determinant overflows to inf (or inf - inf)
+    for bad in ("mob:1e200,1,1,1e200", "mob:1e200,1e200,-1e200,1e200",
+                "mob:1e200,1e200,1e200,1e200"):
+        with pytest.raises(DomainError, match="determinant must be finite"):
             parse_generator(bad)
 
 

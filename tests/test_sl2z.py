@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from minfol import sl2z
 from minfol.errors import DomainError
 from minfol.sl2z import (IntMatrix2, QuadraticIrrational, Periodic,
                          Parabolic, Anosov, classify, parabolic_normal_form,
@@ -229,6 +230,34 @@ def test_periodic_point_count_is_lefschetz_number():
             if sign > 0:
                 assert count == pytest.approx(lam ** n + lam ** -n - 2)
             assert len(pts) == count
+
+
+def test_periodic_points_fixed_exactly_up_to_cat_10():
+    """Independent of the Smith form: every point is fixed by A^n mod 1
+    exactly, no point repeats, and the count is the Lefschetz number
+    |tr(A^n) - 2|."""
+    cases = [(CAT, 10), (IntMatrix2(3, 2, 1, 1), 6),
+             (IntMatrix2(-2, -1, -1, -1), 6)]
+    for A, top in cases:
+        for n in range(1, top + 1):
+            An = A ** n
+            count, pts = periodic_points(A, n)
+            assert count == abs(An.trace() - 2) == len(pts)
+            assert len(set(pts)) == count
+            for x, y in pts:
+                assert 0 <= x < 1 and 0 <= y < 1
+                assert (An.a * x + An.b * y - x).denominator == 1
+                assert (An.c * x + An.d * y - y).denominator == 1
+
+
+def test_periodic_points_refuses_more_than_the_limit(monkeypatch):
+    assert sl2z.MAX_PERIODIC_POINTS >= 15125      # (cat, 10)
+    with pytest.raises(DomainError, match="fixed points, more than"):
+        periodic_points(CAT, 40)                  # about 5 * 10^16 points
+    monkeypatch.setattr(sl2z, "MAX_PERIODIC_POINTS", 5)
+    assert periodic_points(CAT, 2)[0] == 5        # at the limit: listed
+    with pytest.raises(DomainError, match="more than the 5"):
+        periodic_points(CAT, 3)                   # 16 points
 
 
 def test_periodic_points_rejects_non_anosov():
