@@ -3,7 +3,7 @@ surfaces, and the transverse dynamics of foliated torus bundles."""
 
 __version__ = "0.1.0"
 
-from .errors import DomainError
+from .errors import DomainError, InternalError
 from .sl2z import (IntMatrix2, QuadraticIrrational, Periodic, Parabolic,
                    Anosov, classify, parabolic_normal_form, periodic_points,
                    GenToken, word_matrix, decompose_st)

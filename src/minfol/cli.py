@@ -3,7 +3,8 @@
 One process per invocation; the report goes to standard output as JSON
 (sorted keys, so identical invocations are byte-identical) or as
 flattened TSV rows with --tsv.  Diagnostics go to standard error.
-Exit codes: 0 success, 1 usage errors, 2 domain errors.
+Exit codes: 0 success, 1 usage errors, 2 domain errors, 3 internal
+errors (a certificate check failed).
 
 Environment: MINFOL_SEED supplies the default seed for seeded
 subcommands, MINFOL_THREADS is recorded in provenance for runners that
@@ -27,7 +28,7 @@ import os
 import sys
 
 from . import __version__
-from .errors import DomainError
+from .errors import DomainError, InternalError
 from . import cover as cover_mod
 from . import holonomy as hol
 from . import homology as hom
@@ -452,6 +453,9 @@ def run(argv):
     except ValueError as exc:
         sys.stderr.write("domain error: %s\n" % exc)
         return 2
+    except InternalError as exc:
+        sys.stderr.write("internal error: %s\n" % exc)
+        return 3
     sys.stdout.write(text)
     return 0
 

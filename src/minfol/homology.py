@@ -8,16 +8,20 @@ the corner-walk permutation.  Edge vectors live in Z^(2d) with h_i at
 index i and v_i at index d + i.  A face boundary reads
 h_i + v_(right of i) - h_(above i) - v_i.
 
-H_1 is computed exactly: collapse a spanning tree of the 1-skeleton,
-quotient the cycle space by the face boundaries through a Smith normal
-form, and lift the surviving generators back to integer edge vectors.
-A cycle is the sum of the fundamental cycles of its non-tree edges, so
-it is fixed by its non-tree coordinates y.  With U B V = D the Smith
-form of the boundary matrix B in those coordinates, and all r nonzero
-divisors equal to 1, the rows of V^-1 split into r that span the
-boundaries and 2g that are the basis cycles.  So the coordinates of a
-cycle in the basis are y . V[:, r:], an integer dot product, and
-`HomologyBasis.decompose` keeps those columns of V instead of solving.
+H_1 is computed exactly from one chain-complex builder,
+`_chain_complex`, shared by `homology_basis` and `homology_rank`: it
+collapses a spanning tree of the 1-skeleton and writes the face
+boundaries B in the coordinates of the non-tree edges.  A cycle is the
+sum of the fundamental cycles of its non-tree edges, so it is fixed by
+its non-tree coordinates y, and the rank of H_1 is the number of
+non-tree edges minus rank B: one elimination.  The basis quotients the
+cycle space by the face boundaries through a Smith normal form of B
+and lifts the surviving generators back to integer edge vectors.  With
+U B V = D the Smith form of B and all r nonzero divisors equal to 1,
+the rows of V^-1 split into r that span the boundaries and 2g that are
+the basis cycles.  So the coordinates of a cycle in the basis are
+y . V[:, r:], an integer dot product, and `HomologyBasis.decompose`
+keeps those columns of V instead of solving.
 
 The intersection form needs care.  Counting crossings of pushed-off
 edge cycles fails at cone points, where a translated cycle no longer
@@ -35,9 +39,10 @@ integer adjugate of Q with one exact division by det Q.  Everything is
 integer or Fraction arithmetic; no floating point enters this module.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
-from .errors import DomainError
+from .errors import DomainError, InternalError
 from . import intlinalg as la
 from . import permutations as perms
 from .origami import Origami, act_word, relabel, sl2z_act
@@ -160,14 +165,20 @@ def displacement(o, x):
     return (sum(x[:d]), sum(x[d:]))
 
 
-def homology_basis(o):
-    """Integer basis of H_1 with its intersection form.
+_Complex = namedtuple("_Complex", "ends nverts parent_edge parent_sign "
+                                  "nontree boundaries B")
 
-    Returns HomologyBasis with rank = 2 * genus; the basis vectors are
-    primitive integer edge vectors, and the intersection matrix is
-    antisymmetric with determinant one.
+
+def _chain_complex(o):
+    """The cellular chain complex of o with a spanning tree collapsed.
+
+    Returns a _Complex: edge endpoints, the vertex count, the tree as
+    the edge and orientation leading from each vertex toward vertex 0,
+    the non-tree edges, the face boundaries, and the face boundaries in
+    non-tree coordinates (a cycle is fixed by those coordinates).  The
+    sweep takes the first edge, in edge order, that reaches a new
+    vertex, round after round; the basis cycles depend on that choice.
     """
-    d = o.d
     nverts, cls = _vertex_classes(o)
     ends = _edge_endpoints(o, cls)
 
@@ -194,7 +205,26 @@ def homology_basis(o):
             parent_edge[w] = e
             parent_sign[w] = sgn
             grew = True
-    assert all(seen)
+    if not all(seen):
+        raise InternalError("the 1-skeleton of %s is not connected" % (o,))
+
+    nontree = [e for e in range(2 * o.d) if e not in tree]
+    boundaries = _face_boundary_vectors(o)
+    B = [[bd[e] for e in nontree] for bd in boundaries]
+    return _Complex(ends, nverts, parent_edge, parent_sign, nontree,
+                    boundaries, B)
+
+
+def homology_basis(o):
+    """Integer basis of H_1 with its intersection form.
+
+    Returns HomologyBasis with rank = 2 * genus; the basis vectors are
+    primitive integer edge vectors, and the intersection matrix is
+    antisymmetric with determinant one.
+    """
+    d = o.d
+    (ends, nverts, parent_edge, parent_sign, nontree, boundaries,
+     B) = _chain_complex(o)
 
     # path from each vertex back to the root, as an edge chain
     def path_to_root(v):
@@ -208,7 +238,6 @@ def homology_basis(o):
 
     root_paths = [path_to_root(v) for v in range(nverts)]
 
-    nontree = [e for e in range(2 * d) if e not in tree]
     # fundamental cycle of a non-tree edge e: e plus tree paths closing it
     fund = []
     for e in nontree:
@@ -222,12 +251,11 @@ def homology_basis(o):
             vec[j] -= val
         fund.append(vec)
 
-    boundaries = _face_boundary_vectors(o)
-    # a cycle is determined by its non-tree coordinates
-    B = [[bd[e] for e in nontree] for bd in boundaries]
     U, D, V = la.smith_normal_form(B)
     divisors = [x for x in la.diagonal_of(D) if x != 0]
-    assert divisors == [1] * (d - 1), divisors
+    if divisors != [1] * (d - 1):
+        raise InternalError("face boundaries of %s have Smith divisors %s, "
+                            "not %d ones" % (o, divisors, d - 1))
     r = len(divisors)
     ncols = len(nontree)
     # U B V = D, so the boundary lattice is spanned by the first r rows
@@ -236,7 +264,8 @@ def homology_basis(o):
     basis = []
     for row in range(r, ncols):
         coords = [Vinv[row][j] for j in range(ncols)]
-        assert all(x.denominator == 1 for x in coords)
+        if any(x.denominator != 1 for x in coords):
+            raise InternalError("the Smith transform V is not unimodular")
         vec = [0] * (2 * d)
         for coeff, f in zip(coords, fund):
             if coeff:
@@ -246,28 +275,32 @@ def homology_basis(o):
         basis.append(vec)
 
     rank = len(basis)
-    assert rank == 2 * o.genus()
+    if rank != 2 * o.genus():
+        raise InternalError("H_1 of %s has rank %d, not 2 * genus %d"
+                            % (o, rank, 2 * o.genus()))
 
     d1 = _d1(nverts, ends)
     alphas = _cocycle_class_basis(o, d1)
-    assert len(alphas) == rank
+    if len(alphas) != rank:
+        raise InternalError("%d cocycle classes for H_1 of rank %d"
+                            % (len(alphas), rank))
     E = [[sum(a * x for a, x in zip(alpha, z)) for alpha in alphas]
          for z in basis]
     Q = [[_cup_on_fundamental(o, au, aw) for aw in alphas] for au in alphas]
-    for i in range(rank):
-        for j in range(rank):
-            assert Q[i][j] == -Q[j][i]
+    if not _antisymmetric(Q):
+        raise InternalError("the cocycle pairing is not antisymmetric")
     # Q^-1 = adj(Q) / det(Q), and J is integral, so the division is exact
     adj, det = la._adjugate(Q)
     J = []
     for row in la.mat_mul(la.mat_mul(E, adj), la.transpose(E)):
-        assert all(x % det == 0 for x in row)
+        if any(x % det for x in row):
+            raise InternalError("the intersection form is not integral")
         J.append([-(x // det) for x in row])
-    for i in range(rank):
-        for j in range(rank):
-            assert J[i][j] == -J[j][i]
-    if rank:
-        assert la.det_rational(J) == 1
+    if not _antisymmetric(J):
+        raise InternalError("the intersection form is not antisymmetric")
+    if rank and la.det_rational(J) != 1:
+        raise InternalError("the intersection form has determinant %s, "
+                            "not 1" % la.det_rational(J))
     return HomologyBasis(rank=rank, cycles=tuple(tuple(z) for z in basis),
                          intersection=tuple(tuple(row) for row in J),
                          face_boundaries=tuple(tuple(b) for b in boundaries),
@@ -277,17 +310,25 @@ def homology_basis(o):
                                        for col in la.transpose(V)[r:]))
 
 
-def homology_rank(o):
-    """Rank of H_1 straight from the chain complex, by matrix ranks.
+def _antisymmetric(M):
+    n = len(M)
+    return all(M[i][j] == -M[j][i] for i in range(n) for j in range(n))
 
-    Deliberately avoids the cone-angle bookkeeping: rank = dim ker d1
-    minus rank d2, so agreement with 2 * genus is a genuine cross-check
-    of the corner-walk combinatorics.
+
+def homology_rank(o):
+    """Rank of H_1 straight from the chain complex, by one elimination.
+
+    Deliberately avoids the cone-angle bookkeeping.  The complex is the
+    one homology_basis builds: with the spanning tree collapsed, a cycle
+    is fixed by its non-tree coordinates, so the cycle space has one
+    dimension per non-tree edge (rank d1 is the number of tree edges,
+    as the 1-skeleton is connected), and rank = #non-tree edges minus
+    the rank of the face boundaries in those coordinates.  Agreement
+    with 2 * genus is a genuine cross-check of the corner-walk
+    combinatorics.
     """
-    nverts, cls = _vertex_classes(o)
-    r1 = la.rank_rational(_d1(nverts, _edge_endpoints(o, cls)))
-    r2 = la.rank_rational(_face_boundary_vectors(o))
-    return 2 * o.d - r1 - r2
+    cx = _chain_complex(o)
+    return len(cx.nontree) - la.rank_rational(cx.B)
 
 
 def _token_chain_matrix(token, o):
@@ -353,8 +394,9 @@ def word_chain_map(witness, o):
         C = la.mat_mul(_token_chain_matrix(token, cur), C)
         cur = sl2z_act(token, cur)
     C = la.mat_mul(_relabel_chain_matrix(cur, witness.relabeling), C)
-    cur = relabel(cur, witness.relabeling)
-    assert cur == o
+    if relabel(cur, witness.relabeling) != o:
+        raise InternalError("the witness word does not carry %s to itself"
+                            % (o,))
     return C
 
 

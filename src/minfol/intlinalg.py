@@ -1,11 +1,12 @@
 """Exact linear algebra over Z and Q on plain lists of lists.
 
 Everything here is integer or Fraction arithmetic; no floats.  Rank,
-kernel, solve, inverse and determinant share one elimination kernel,
-`_rref`: fraction-free Gauss-Jordan over Z with gcd row multipliers and
-content division, after Bareiss (Math. Comp. 1968).  Rational input is
-scaled to integer rows first, and a Fraction is made only for an output
-entry that needs one.  The Smith normal form has its own integer
+kernel, solve, inverse and determinant share one elimination kernel:
+fraction-free Gauss-Jordan over Z with gcd row multipliers and content
+division, after Bareiss (Math. Comp. 1968), as a forward pass
+`_echelon` and a back-substitution `_rref` on top of it.  Rational
+input is scaled to integer rows first, and a Fraction is made only for
+an output entry that needs one.  The Smith normal form has its own integer
 elimination, since it needs unimodular transforms.
 """
 
@@ -47,14 +48,28 @@ def mat_eq(A, B):
     return len(A) == len(B) and all(list(r) == list(s) for r, s in zip(A, B))
 
 
-def _rref(M):
-    """Reduced row echelon form over Q, computed over Z.
+def _eliminate(row, prow, c):
+    """row with its entry in column c cleared by the pivot row prow (a
+    gcd multiple of each) and divided by its content.  Returns the new
+    row, the multiplier of row and the content divided out."""
+    pv, f = prow[c], row[c]
+    g = gcd(pv, f)
+    a, b = pv // g, f // g
+    row = [a * x - b * y for x, y in zip(row, prow)]
+    g = gcd(*row)
+    if g > 1:
+        row = [x // g for x in row]
+    return row, a, g or 1
 
-    Returns (rows, pivots, det).  Row r < len(pivots) is the unique
-    reduced echelon row scaled to a primitive integer vector, with a
-    positive entry at its pivot column pivots[r]; the other rows are
-    zero.  A row with Fraction entries is first scaled by the lcm of its
-    denominators.  Rows are cleared with gcd multipliers and divided by
+
+def _echelon(M):
+    """Row echelon form over Q, computed over Z: the forward pass.
+
+    Returns (rows, pivots, det).  Row r < len(pivots) is a primitive
+    integer vector with a positive entry at its pivot column pivots[r]
+    and zeros to the left of it; the other rows are zero.  A row with
+    Fraction entries is first scaled by the lcm of its denominators.
+    Rows below a pivot are cleared with gcd multipliers and divided by
     their content, so no Fraction arises and entries stay small.  det is
     the determinant of the leading square block of M (0 when its columns
     are not all pivots), read off the row operations as a Fraction.
@@ -87,36 +102,45 @@ def _rref(M):
             R[r], R[p] = R[p], R[r]
             num = -num
         prow = R[r]
-        pv = prow[c]
-        if pv < 0:
+        if prow[c] < 0:
             prow = R[r] = [-x for x in prow]
-            pv = -pv
             num = -num
-        for i in range(m):
-            f = R[i][c]
-            if f and i != r:
-                g = gcd(pv, f)
-                a, b = pv // g, f // g
-                row = [a * x - b * y for x, y in zip(R[i], prow)]
-                g = gcd(*row)
-                if g > 1:
-                    row = [x // g for x in row]
-                R[i] = row
+        for i in range(p + 1, m):
+            if R[i][c]:
+                R[i], a, g = _eliminate(R[i], prow, c)
                 num *= a
-                den *= g or 1
+                den *= g
         pivots.append(c)
     det = Fraction(0)
     if pivots == list(range(m)):
-        # the leading block of R is diagonal: its determinant is the
-        # product of the pivots
+        # the leading block of R is upper triangular: its determinant
+        # is the product of the pivots
         det = Fraction(prod(row[i] for i, row in enumerate(R)) * den, num)
+    return R, pivots, det
+
+
+def _rref(M):
+    """Reduced row echelon form over Q, computed over Z.
+
+    Returns (rows, pivots, det) as `_echelon` does, with every row
+    cleared above its pivot as well: row r < len(pivots) is the unique
+    reduced echelon row scaled to a primitive integer vector with a
+    positive pivot entry.  This back-substitution is what kernel, solve
+    and inverse need; rank and det stop after the forward pass.
+    """
+    R, pivots, det = _echelon(M)
+    for r in range(len(pivots) - 1, 0, -1):
+        c, prow = pivots[r], R[r]
+        for i in range(r):
+            if R[i][c]:
+                R[i] = _eliminate(R[i], prow, c)[0]
     return R, pivots, det
 
 
 def rank_rational(M):
     if not M or not M[0]:
         return 0
-    return len(_rref(M)[1])
+    return len(_echelon(M)[1])
 
 
 def kernel_rational(M):
@@ -157,7 +181,7 @@ def solve_rational(A, b):
 
 
 def det_rational(M):
-    return _rref(M)[2]
+    return _echelon(M)[2]
 
 
 def _reduce_with_identity(M):

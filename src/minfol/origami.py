@@ -17,9 +17,9 @@ tokens must reproduce their own matrices.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .errors import DomainError
+from .errors import DomainError, InternalError
 from . import permutations as perms
 from .cover import _pillowcase_check
 from .sl2z import GenToken, IntMatrix2, Anosov, classify, decompose_st
@@ -47,22 +47,32 @@ class Origami:
                 % [[x + 1 for x in o] for o in orbs])
 
     def vertex_permutation(self):
+        """The corner walk sigma_h . sigma_v . sigma_h^-1 . sigma_v^-1."""
         sh, sv = self.sigma_h, self.sigma_v
-        return perms.compose(
-            sh, perms.compose(
-                sv, perms.compose(perms.inverse(sh), perms.inverse(sv))))
+        ish = perms.inverse(sh)
+        return tuple([sh[sv[ish[y]]] for y in perms.inverse(sv)])
+
+    @cached_property
+    def _vertex_cycles(self):
+        # not a dataclass field, so ==, hash and repr do not see it
+        return tuple(perms.cycles(self.vertex_permutation(),
+                                  include_fixed=True))
 
     def vertex_cycles(self):
-        return perms.cycles(self.vertex_permutation(), include_fixed=True)
+        """Cycles of the corner walk, one per vertex; computed once per
+        origami and shared by genus, stratum and homology."""
+        return self._vertex_cycles
 
     def genus(self):
-        v = len(self.vertex_cycles())
-        assert (self.d - v) % 2 == 0
+        v = len(self._vertex_cycles)
+        if (self.d - v) % 2:
+            raise InternalError("%d squares and %d vertices give an odd "
+                                "Euler characteristic" % (self.d, v))
         return 1 + (self.d - v) // 2
 
     def stratum(self):
         """Cone angles as multiples of 2*pi, sorted descending."""
-        return tuple(sorted((len(c) for c in self.vertex_cycles()),
+        return tuple(sorted((len(c) for c in self._vertex_cycles),
                             reverse=True))
 
     def to_json(self):
@@ -107,6 +117,20 @@ def named_origami(name):
                           % (name, ", ".join(sorted(_NAMED))))
 
 
+def _step(token, sh, sv):
+    """Gluings (sigma_h, sigma_v) after one generator token; see
+    sl2z_act."""
+    if token == GenToken.T:
+        return sh, perms.compose(sv, perms.inverse(sh))
+    if token == GenToken.T_INV:
+        return sh, perms.compose(sv, sh)
+    if token == GenToken.S:
+        return perms.inverse(sv), sh
+    if token == GenToken.NEG_I:
+        return perms.inverse(sh), perms.inverse(sv)
+    raise DomainError("unknown token %r" % (token,))
+
+
 def sl2z_act(token, o):
     """Action of one generator token on an origami.
 
@@ -114,23 +138,19 @@ def sl2z_act(token, o):
     S rotates a quarter turn: what was below comes to lie to the right.
     -I rotates each square half a turn, inverting both gluings.
     """
-    sh, sv = o.sigma_h, o.sigma_v
-    if token == GenToken.T:
-        return Origami(o.d, sh, perms.compose(sv, perms.inverse(sh)))
-    if token == GenToken.T_INV:
-        return Origami(o.d, sh, perms.compose(sv, sh))
-    if token == GenToken.S:
-        return Origami(o.d, perms.inverse(sv), sh)
-    if token == GenToken.NEG_I:
-        return Origami(o.d, perms.inverse(sh), perms.inverse(sv))
-    raise DomainError("unknown token %r" % (token,))
+    return Origami(o.d, *_step(token, o.sigma_h, o.sigma_v))
 
 
 def act_word(word, o):
-    """Left action of a word: the rightmost token acts first."""
+    """Left action of a word: the rightmost token acts first.
+
+    The tokens act on the gluings alone, and the one Origami built at
+    the end is validated as every Origami is.
+    """
+    sh, sv = o.sigma_h, o.sigma_v
     for token in reversed(list(word)):
-        o = sl2z_act(token, o)
-    return o
+        sh, sv = _step(token, sh, sv)
+    return Origami(o.d, sh, sv)
 
 
 def relabel(o, r):
@@ -178,7 +198,9 @@ def canonical_form(o):
                 tied = h == b
             cand_h.append(h)
         else:
-            assert count == d
+            if count != d:
+                raise InternalError("the search from square %d reached %d "
+                                    "of %d squares" % (root, count, d))
             cand_v = tuple(new[sv[x]] for x in order)
             if not tied or cand_v < best_v:
                 best_h, best_v, best_r = tuple(cand_h), cand_v, tuple(new)
@@ -237,7 +259,8 @@ def lift_automorphism(A, o):
         return None
     r = perms.compose(perms.inverse(r_o), r_img)
     witness = LiftWitness(matrix=A, word=word, relabeling=r)
-    assert witness.verify(o)
+    if not witness.verify(o):
+        raise InternalError("lift witness for %s fails to verify" % (o,))
     return witness
 
 

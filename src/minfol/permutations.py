@@ -23,7 +23,7 @@ def is_perm(p, n=None):
 
 def compose(p, q):
     """p after q: (compose(p, q))(x) = p(q(x))."""
-    return tuple(p[q[x]] for x in range(len(p)))
+    return tuple([p[x] for x in q])
 
 
 def inverse(p):

@@ -1,12 +1,19 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
+import textwrap
 
 import jsonschema
 import pytest
 
 import minfol
 from minfol import cli
+from minfol import homology as hom
+from minfol import origami as ori
 from minfol.cli import run
+from minfol.errors import InternalError
 
 SCHEMA_PATH = pathlib.Path(minfol.__file__).parent / "schema" / \
     "report.schema.json"
@@ -201,3 +208,38 @@ def test_report_writer_refuses_non_finite_numbers(capsys, monkeypatch, tsv):
     code, out, err = invoke(capsys, *tsv, "classify", "--matrix", "2 1 1 1")
     assert (code, out) == (2, "")
     assert err == "domain error: the report holds a non-finite number\n"
+
+
+# --------------------------------------------------------- internal errors
+
+
+def test_failed_certificate_check_exits_3_with_one_line(capsys, monkeypatch):
+    # a stand-in determinant makes the unimodularity check of the
+    # intersection form fail, as a defect in the library would
+    monkeypatch.setattr(hom.la, "det_rational", lambda M: 2)
+    with pytest.raises(InternalError, match="determinant 2, not 1"):
+        hom.homology_basis(ori.TORUS)
+    code, out, err = invoke(capsys, "homology", "basis", "--name", "torus")
+    assert (code, out) == (3, "")
+    assert err == "internal error: the intersection form has determinant " \
+                  "2, not 1\n"
+
+
+def test_certificate_checks_survive_python_O():
+    # under -O every assert is stripped (the script's own assert False
+    # passes), but the library's checks are explicit raises
+    script = textwrap.dedent("""
+        import sys
+        assert False
+        from minfol import cli, intlinalg
+        intlinalg.det_rational = lambda M: 2
+        sys.exit(cli.run(["homology", "basis", "--name", "torus"]))
+    """)
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith(("MINFOL_", "PYTHONOPTIMIZE"))}
+    env["PYTHONPATH"] = str(pathlib.Path(minfol.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "internal error: the intersection form has " \
+                          "determinant 2, not 1\n"

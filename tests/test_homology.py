@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -134,6 +135,54 @@ def test_decompose_rejects_non_cycles():
     for length in (0, 15, 17):
         with pytest.raises(DomainError, match="length"):
             basis.decompose([0] * length)
+
+
+def old_homology_rank(o):
+    """The formula homology_rank had before it shared the spanning tree
+    of homology_basis: 2d - rank d1 - rank d2 over all 2d edges, with
+    the complex built here from the corner walk alone."""
+    d, sh, sv = o.d, o.sigma_h, o.sigma_v
+    cyc = o.vertex_cycles()
+    cls = [0] * d
+    for i, c in enumerate(cyc):
+        for x in c:
+            cls[x] = i
+    d1 = [[0] * (2 * d) for _ in cyc]
+    for i in range(d):
+        for e, head in ((i, sh[i]), (d + i, sv[i])):
+            d1[cls[head]][e] += 1
+            d1[cls[i]][e] -= 1
+    faces = []
+    for i in range(d):
+        vec = [0] * (2 * d)
+        vec[i] += 1
+        vec[d + sh[i]] += 1
+        vec[sv[i]] -= 1
+        vec[d + i] -= 1
+        faces.append(vec)
+    return 2 * d - la.rank_rational(d1) - la.rank_rational(faces)
+
+
+def test_homology_rank_matches_the_two_rank_formula_on_the_census():
+    checked = 0
+    for d in range(1, 6):
+        for sh in itertools.permutations(range(d)):
+            for sv in itertools.permutations(range(d)):
+                if perms.is_transitive([sh, sv], d):
+                    o = Origami(d, sh, sv)
+                    assert homology_rank(o) == old_homology_rank(o), o
+                    checked += 1
+    assert checked == 11520
+
+
+def test_homology_rank_matches_the_two_rank_formula_on_large_origamis():
+    rng = random.Random(61)
+    origamis = [random_origami(rng, dmax=32) for _ in range(50)]
+    origamis += [pillowcase_origami(n, (1, 1, 1, n - 3))
+                 for n in range(4, 25, 2)]
+    assert max(o.d for o in origamis) == 48
+    for o in origamis:
+        assert homology_rank(o) == old_homology_rank(o) == 2 * o.genus(), o
 
 
 def test_homology_rank_examples():

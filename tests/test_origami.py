@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from minfol.errors import DomainError
+from minfol.errors import DomainError, InternalError
 from minfol import origami
 from minfol import permutations as perms
 from minfol.cover import pillowcase_genus
@@ -243,6 +243,21 @@ def test_cycle_type_rejection_is_exact():
     assert differ > 100
 
 
+def test_lift_refuses_a_witness_that_fails_to_verify(monkeypatch):
+    monkeypatch.setattr(origami.LiftWitness, "verify", lambda self, o: False)
+    with pytest.raises(InternalError, match="fails to verify"):
+        lift_automorphism(CAT, WOLLMILCHSAU)
+
+
+def test_genus_refuses_an_odd_euler_characteristic(monkeypatch):
+    # three corner cycles on two squares cannot come from a surface
+    monkeypatch.setattr(Origami, "vertex_permutation",
+                        lambda self: (0, 1, 2))
+    o = Origami(2, (1, 0), (0, 1))
+    with pytest.raises(InternalError, match="odd Euler characteristic"):
+        o.genus()
+
+
 def test_lift_respects_conjugated_copies():
     # a relabeled copy lifts exactly when the original does
     rng = random.Random(29)
@@ -278,3 +293,94 @@ def test_pillowcase_origami_rejects_bad_parameters():
         pillowcase_origami(4, (1, 1, 2, 4))   # even rotation numbers
     with pytest.raises(DomainError):
         pillowcase_origami(4, (1, 1, 1, 2))   # inadmissible sum
+
+
+# ------------------------------------------------- work saved, checks kept
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = [0]
+    fn = getattr(owner, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_act_word_is_the_fold_of_sl2z_act():
+    rng = random.Random(67)
+    toks = list(GenToken)
+    for trial in range(200):
+        o = random_origami(rng, dmax=12)
+        word = [rng.choice(toks) for _ in range(rng.randrange(0, 12))]
+        folded = o
+        for token in reversed(word):
+            folded = sl2z_act(token, folded)
+        assert act_word(word, o) == folded
+    with pytest.raises(DomainError, match="unknown token"):
+        act_word([GenToken.S, "X"], WOLLMILCHSAU)
+
+
+def test_each_returned_image_is_validated_once(monkeypatch):
+    # one Origami.__post_init__ per act_word or sl2z_act call, whatever
+    # the word length: the intermediate gluings are never wrapped
+    rng = random.Random(71)
+    toks = list(GenToken)
+    origamis = [random_origami(rng, dmax=9) for _ in range(20)]
+    words = [[rng.choice(toks) for _ in range(rng.randrange(0, 15))]
+             for _ in origamis]
+    calls = _count_calls(monkeypatch, Origami, "__post_init__")
+    for o, word in zip(origamis, words):
+        before = calls[0]
+        act_word(word, o)
+        assert calls[0] == before + 1
+        sl2z_act(GenToken.T, o)
+        assert calls[0] == before + 2
+    assert calls[0] == 2 * len(origamis)
+    # the returned image is still checked: a disconnected pair smuggled
+    # past the constructor comes back refused
+    bad = object.__new__(Origami)
+    for name, value in (("d", 2), ("sigma_h", (0, 1)), ("sigma_v", (0, 1))):
+        object.__setattr__(bad, name, value)
+    for act in (lambda o: act_word([GenToken.S, GenToken.T], o),
+                lambda o: sl2z_act(GenToken.S, o)):
+        with pytest.raises(DomainError, match="not connected"):
+            act(bad)
+
+
+def test_genus_stratum_and_rank_share_one_corner_walk(monkeypatch):
+    from minfol.homology import homology_rank
+    calls = _count_calls(monkeypatch, Origami, "vertex_permutation")
+    o = Origami(WOLLMILCHSAU.d, WOLLMILCHSAU.sigma_h, WOLLMILCHSAU.sigma_v)
+    assert (o.genus(), o.stratum(), homology_rank(o)) == (3, (2, 2, 2, 2), 6)
+    assert o.genus() == 3 and o.vertex_cycles()
+    assert calls[0] == 1
+
+
+def test_cached_corner_walk_leaves_equality_hash_and_repr_alone():
+    import dataclasses
+    rng = random.Random(73)
+    for trial in range(20):
+        o = random_origami(rng, dmax=9)
+        fresh = Origami(o.d, o.sigma_h, o.sigma_v)
+        o.genus()
+        assert "_vertex_cycles" in vars(o)
+        assert "_vertex_cycles" not in vars(fresh)
+        assert o == fresh and hash(o) == hash(fresh)
+        assert repr(o) == repr(fresh)
+    assert [f.name for f in dataclasses.fields(Origami)] == \
+        ["d", "sigma_h", "sigma_v"]
+
+
+def test_corner_walk_is_the_commutator():
+    rng = random.Random(79)
+    for trial in range(50):
+        o = random_origami(rng, dmax=12)
+        sh, sv = o.sigma_h, o.sigma_v
+        c = perms.compose(sh, perms.compose(
+            sv, perms.compose(perms.inverse(sh), perms.inverse(sv))))
+        assert o.vertex_permutation() == c
+        assert list(o.vertex_cycles()) == perms.cycles(c, include_fixed=True)
