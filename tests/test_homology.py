@@ -138,9 +138,10 @@ def test_decompose_rejects_non_cycles():
 
 
 def old_homology_rank(o):
-    """The formula homology_rank had before it shared the spanning tree
-    of homology_basis: 2d - rank d1 - rank d2 over all 2d edges, with
-    the complex built here from the corner walk alone."""
+    """Reference rank of H_1 from the full chain complex, built here
+    from the corner walk alone: 2d - rank d1 - rank d2 over all 2d
+    edges.  homology_rank collapses a spanning tree instead and does a
+    single elimination."""
     d, sh, sv = o.d, o.sigma_h, o.sigma_v
     cyc = o.vertex_cycles()
     cls = [0] * d
