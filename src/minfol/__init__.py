@@ -15,8 +15,7 @@ from .origami import (Origami, named_origami, TORUS, WOLLMILCHSAU,
                       sl2z_act, act_word, canonical_form, LiftWitness,
                       lift_automorphism, pillowcase_origami)
 from .homology import (HomologyBasis, homology_basis, homology_rank,
-                       HomologyAction, induced_action, torelli_order,
-                       word_chain_map)
+                       HomologyAction, induced_action, torelli_order)
 from .torus3 import (MonodromyClass, MonodromySummary, summary_from_matrix,
                      GeometryResult, geometry_classify, BundleData,
                      BundleSource, EulerReport, euler_report, PeriodRank,

@@ -19,9 +19,17 @@ cycle space by the face boundaries through a Smith normal form of B
 and lifts the surviving generators back to integer edge vectors.  With
 U B V = D the Smith form of B and all r nonzero divisors equal to 1,
 the rows of V^-1 split into r that span the boundaries and 2g that are
-the basis cycles.  So the coordinates of a cycle in the basis are
-y . V[:, r:], an integer dot product, and `HomologyBasis.decompose`
-keeps those columns of V instead of solving.
+the basis cycles; the Smith form returns V^-1 beside V, built by the
+inverse of each column operation, so no inversion is needed.  The
+coordinates of a cycle in the basis are y . V[:, r:], an integer dot
+product, and `HomologyBasis.decompose` keeps those columns of V
+instead of solving.
+
+The action of a lift on H_1 is one walk of its witness word: the 2g
+basis cycles are pushed token by token through the edge map of each
+generator while `origami._step` moves the gluings along, then
+relabeled, and the walk ends by checking that the relabeled gluings
+are those of the origami it started from.
 
 The intersection form needs care.  Counting crossings of pushed-off
 edge cycles fails at cone points, where a translated cycle no longer
@@ -45,7 +53,7 @@ from dataclasses import dataclass, field
 from .errors import DomainError, InternalError
 from . import intlinalg as la
 from . import permutations as perms
-from .origami import Origami, act_word, relabel, sl2z_act
+from .origami import _step
 from .sl2z import GenToken
 
 
@@ -55,29 +63,27 @@ class HomologyBasis:
     cycles: tuple        # rank integer vectors of length 2d
     intersection: tuple  # rank x rank integer matrix J
     face_boundaries: tuple
-    # what decompose reads coordinates from: the edge -> vertex boundary
-    # map, the non-tree edges, and the last rank columns of the Smith
-    # transform V (one tuple per basis cycle, indexed like _nontree)
-    _d1: tuple = field(compare=False, repr=False)
+    # what decompose reads coordinates from: the (tail, head) vertices
+    # of each edge, the non-tree edges, and the last rank columns of the
+    # Smith transform V (one tuple per basis cycle, indexed like _nontree)
+    _ends: tuple = field(compare=False, repr=False)
     _nontree: tuple = field(compare=False, repr=False)
     _coords: tuple = field(compare=False, repr=False)
 
     def decompose(self, x):
         """Coordinates of the cycle x in this basis, modulo boundaries."""
-        if len(x) != len(self._d1[0]):
+        if len(x) != len(self._ends):
             raise DomainError("vector has length %d, not %d"
-                              % (len(x), len(self._d1[0])))
-        if any(la.mat_vec(self._d1, x)):
+                              % (len(x), len(self._ends)))
+        # d1 x, vertex by vertex; there are fewer vertices than edges
+        net = [0] * len(x)
+        for (t, h), xe in zip(self._ends, x):
+            net[h] += xe
+            net[t] -= xe
+        if any(net):
             raise DomainError("vector is not a cycle of this complex")
         return tuple(sum(x[e] * v for e, v in zip(self._nontree, col))
                      for col in self._coords)
-
-    def pairing(self, x, y):
-        """Algebraic intersection number of two cycles in edge coordinates."""
-        mx = self.decompose(x)
-        my = self.decompose(y)
-        return sum(mx[i] * self.intersection[i][j] * my[j]
-                   for i in range(self.rank) for j in range(self.rank))
 
     def to_json(self):
         return {
@@ -251,25 +257,19 @@ def homology_basis(o):
             vec[j] -= val
         fund.append(vec)
 
-    U, D, V = la.smith_normal_form(B)
+    U, D, V, Vinv = la.smith_normal_form(B)
     divisors = [x for x in la.diagonal_of(D) if x != 0]
     if divisors != [1] * (d - 1):
         raise InternalError("face boundaries of %s have Smith divisors %s, "
                             "not %d ones" % (o, divisors, d - 1))
     r = len(divisors)
-    ncols = len(nontree)
     # U B V = D, so the boundary lattice is spanned by the first r rows
     # of V^-1 and the quotient is generated by the remaining rows
-    Vinv = la.mat_inverse_rational(V)
     basis = []
-    for row in range(r, ncols):
-        coords = [Vinv[row][j] for j in range(ncols)]
-        if any(x.denominator != 1 for x in coords):
-            raise InternalError("the Smith transform V is not unimodular")
+    for coords in Vinv[r:]:
         vec = [0] * (2 * d)
-        for coeff, f in zip(coords, fund):
-            if coeff:
-                c = int(coeff)
+        for c, f in zip(coords, fund):
+            if c:
                 for j, val in enumerate(f):
                     vec[j] += c * val
         basis.append(vec)
@@ -304,7 +304,7 @@ def homology_basis(o):
     return HomologyBasis(rank=rank, cycles=tuple(tuple(z) for z in basis),
                          intersection=tuple(tuple(row) for row in J),
                          face_boundaries=tuple(tuple(b) for b in boundaries),
-                         _d1=tuple(tuple(row) for row in d1),
+                         _ends=tuple(ends),
                          _nontree=tuple(nontree),
                          _coords=tuple(tuple(col)
                                        for col in la.transpose(V)[r:]))
@@ -331,9 +331,10 @@ def homology_rank(o):
     return len(cx.nontree) - la.rank_rational(cx.B)
 
 
-def _token_chain_matrix(token, o):
-    """Edge map of one token action, from the complex of o to the
-    complex of sl2z_act(token, o), as a 2d x 2d integer matrix.
+def _push(token, sh, sv, x):
+    """Image of the edge vector x under one token, from the complex of
+    the origami with gluings (sh, sv) to the complex of its image
+    under the token (`origami._step`).
 
     Derived from how the affine map carries edges: the shear T fixes
     bottom edges and sends the left edge of square i to the diagonal,
@@ -341,63 +342,49 @@ def _token_chain_matrix(token, o):
     turn, -I half a turn; their images pick up signs and the
     neighbor relabelings below.
     """
-    d = o.d
-    sh, sv = o.sigma_h, o.sigma_v
-    C = [[0] * (2 * d) for _ in range(2 * d)]
-
-    def put(target, source, val):
-        C[target][source] += val
-
+    d = len(sh)
+    h, v = x[:d], x[d:]
     if token == GenToken.T:
+        # h_i -> h_i, v_i -> h_i + v_(right)
+        w = [0] * d
         for i in range(d):
-            put(i, i, 1)                      # h_i -> h_i
-            put(i, d + i, 1)                  # v_i -> h_i + v_(right)
-            put(d + sh[i], d + i, 1)
-    elif token == GenToken.T_INV:
-        ish = perms.inverse(sh)
-        for i in range(d):
-            put(i, i, 1)
-            put(ish[i], d + i, -1)            # v_i -> -h_(left) + v_(left)
-            put(d + ish[i], d + i, 1)
-    elif token == GenToken.S:
-        isv = perms.inverse(sv)
-        for i in range(d):
-            put(d + isv[i], i, 1)             # h_i -> v_(below)
-            put(i, d + i, -1)                 # v_i -> -h_i
-    elif token == GenToken.NEG_I:
-        isv = perms.inverse(sv)
-        ish = perms.inverse(sh)
-        for i in range(d):
-            put(isv[i], i, -1)                # h_i -> -h_(below)
-            put(d + ish[i], d + i, -1)        # v_i -> -v_(left)
-    else:
-        raise DomainError("unknown token %r" % (token,))
-    return C
+            w[sh[i]] = v[i]
+        return [a + b for a, b in zip(h, v)] + w
+    if token == GenToken.T_INV:
+        # h_i -> h_i, v_i -> -h_(left) + v_(left)
+        w = [v[j] for j in sh]
+        return [a - b for a, b in zip(h, w)] + w
+    if token == GenToken.S:
+        # h_i -> v_(below), v_i -> -h_i
+        return [-b for b in v] + [h[j] for j in sv]
+    if token == GenToken.NEG_I:
+        # h_i -> -h_(below), v_i -> -v_(left)
+        return [-h[j] for j in sv] + [-v[j] for j in sh]
+    raise DomainError("unknown token %r" % (token,))
 
 
-def _relabel_chain_matrix(o, r):
-    d = o.d
-    C = [[0] * (2 * d) for _ in range(2 * d)]
-    for i in range(d):
-        C[r[i]][i] = 1
-        C[d + r[i]][d + i] = 1
-    return C
+def _push_word(witness, o, xs):
+    """Images of the edge vectors xs under the witness word followed by
+    its relabeling: the chain map of the lift, an automorphism of the
+    complex of o.
 
-
-def word_chain_map(witness, o):
-    """Total edge map of the witness word followed by its relabeling;
-    an automorphism of the chain complex of o."""
-    d = o.d
-    C = la.identity_matrix(2 * d)
-    cur = o
-    for token in reversed(list(witness.word)):
-        C = la.mat_mul(_token_chain_matrix(token, cur), C)
-        cur = sl2z_act(token, cur)
-    C = la.mat_mul(_relabel_chain_matrix(cur, witness.relabeling), C)
-    if relabel(cur, witness.relabeling) != o:
-        raise InternalError("the witness word does not carry %s to itself"
-                            % (o,))
-    return C
+    The gluings are stepped beside the vectors, and the walk ends with
+    the check of `LiftWitness.verify`: the relabeled gluings must be
+    those of o, or DomainError is raised.
+    """
+    sh, sv = o.sigma_h, o.sigma_v
+    for token in reversed(witness.word):
+        xs = [_push(token, sh, sv, x) for x in xs]
+        sh, sv = _step(token, sh, sv)
+    d, r = o.d, witness.relabeling
+    if not perms.is_perm(r, d):
+        raise DomainError("relabeling is not a permutation of the squares")
+    if (perms.conjugate(sh, r) != o.sigma_h
+            or perms.conjugate(sv, r) != o.sigma_v):
+        raise DomainError("witness does not carry the origami to itself")
+    # square i is renamed r(i), so entry j of an image is entry r^-1(j)
+    ri = perms.inverse(r)
+    return [[x[j] for j in ri] + [x[d + j] for j in ri] for x in xs]
 
 
 @dataclass(frozen=True)
@@ -420,8 +407,8 @@ class HomologyAction:
 
 
 def induced_action(witness, o):
-    """Action of a verified lift witness on H_1(o), as an integer
-    matrix in the computed basis.
+    """Action of a lift witness on H_1(o), as an integer matrix in the
+    computed basis; DomainError unless the witness carries o to itself.
 
     The matrix preserves the intersection form exactly.  Also reports
     the dimension k of its rational fixed subspace (the mapping-torus
@@ -429,17 +416,10 @@ def induced_action(witness, o):
     zero displacement on the base torus, which is what suspension flow
     theory predicts for a hyperbolic base map.
     """
-    if not witness.verify(o):
-        raise DomainError("witness does not carry the origami to itself")
     basis = homology_basis(o)
-    C = word_chain_map(witness, o)
+    images = _push_word(witness, o, basis.cycles)
+    M = la.transpose([basis.decompose(y) for y in images])
     rank = basis.rank
-    M = [[0] * rank for _ in range(rank)]
-    for j, z in enumerate(basis.cycles):
-        img = la.mat_vec(C, list(z))
-        col = basis.decompose(img)
-        for i in range(rank):
-            M[i][j] = col[i]
 
     k, b1, sympl = torelli_order(M, [list(row) for row in basis.intersection])
 

@@ -1,7 +1,7 @@
 """Exact linear algebra over Z and Q on plain lists of lists.
 
 Everything here is integer or Fraction arithmetic; no floats.  Rank,
-kernel, solve, inverse and determinant share one elimination kernel:
+kernel, determinant and adjugate share one elimination kernel:
 fraction-free Gauss-Jordan over Z with gcd row multipliers and content
 division, after Bareiss (Math. Comp. 1968), as a forward pass
 `_echelon` and a back-substitution `_rref` on top of it.  Rational
@@ -13,6 +13,8 @@ elimination, since it needs unimodular transforms.
 from fractions import Fraction
 from math import gcd, lcm, prod
 
+from .errors import DomainError
+
 
 def identity_matrix(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -20,7 +22,9 @@ def identity_matrix(n):
 
 def mat_mul(A, B):
     n, k = len(A), len(B)
-    assert all(len(row) == k for row in A)
+    if any(len(row) != k for row in A):
+        raise DomainError("the left factor of a product needs rows of "
+                          "length %d" % k)
     p = len(B[0]) if B else 0
     out = [[0] * p for _ in range(n)]
     for i in range(n):
@@ -34,10 +38,6 @@ def mat_mul(A, B):
             for j in range(p):
                 Oi[j] += a * Bt[j]
     return out
-
-
-def mat_vec(A, v):
-    return [sum(a * x for a, x in zip(row, v)) for row in A]
 
 
 def transpose(A):
@@ -125,8 +125,8 @@ def _rref(M):
     Returns (rows, pivots, det) as `_echelon` does, with every row
     cleared above its pivot as well: row r < len(pivots) is the unique
     reduced echelon row scaled to a primitive integer vector with a
-    positive pivot entry.  This back-substitution is what kernel, solve
-    and inverse need; rank and det stop after the forward pass.
+    positive pivot entry.  This back-substitution is what kernel and
+    adjugate need; rank and det stop after the forward pass.
     """
     R, pivots, det = _echelon(M)
     for r in range(len(pivots) - 1, 0, -1):
@@ -167,67 +167,41 @@ def kernel_rational(M):
     return basis
 
 
-def solve_rational(A, b):
-    """One rational solution x of A x = b, or None.  x is a Fraction list."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    R, pivots, _ = _rref([list(row) + [bb] for row, bb in zip(A, b)])
-    if n in pivots:
-        return None
-    x = [Fraction(0)] * n
-    for row, pc in zip(R, pivots):
-        x[pc] = Fraction(row[n], row[pc])
-    return x
-
-
 def det_rational(M):
     return _echelon(M)[2]
 
 
-def _reduce_with_identity(M):
-    """Reduced form of [M | I] for square M, and det(M).  Row i is a
-    positive multiple of row i of [I | M^-1]; singular M raises
-    ValueError."""
+def _adjugate(M):
+    """(adj(M), det(M)) of a nonsingular integer matrix, both integral,
+    so that M^-1 = adj(M) / det(M); singular M raises ValueError.
+
+    Row i of the reduced form of [M | I] is a positive multiple of row
+    i of [I | M^-1].
+    """
     n = len(M)
     R, _, det = _rref([list(row) + [int(i == j) for j in range(n)]
                        for i, row in enumerate(M)])
     if det == 0:
         raise ValueError("matrix is singular")
-    return R, det
-
-
-def mat_inverse_rational(M):
-    """Exact inverse of a square matrix, as Fraction entries.
-
-    Callers in this package only invert unimodular transforms, so the
-    entries come out integral; singular input raises ValueError.
-    """
-    n = len(M)
-    R, _ = _reduce_with_identity(M)
-    return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(R)]
-
-
-def _adjugate(M):
-    """(adj(M), det(M)) of a nonsingular integer matrix, both integral,
-    so that M^-1 = adj(M) / det(M)."""
-    n = len(M)
-    R, det = _reduce_with_identity(M)
     det = int(det)
     return [[x * det // row[i] for x in row[n:]]
             for i, row in enumerate(R)], det
 
 
 def smith_normal_form(M):
-    """Smith normal form with transforms: returns (U, D, V), U*M*V = D.
+    """Smith normal form with transforms: returns (U, D, V, Vinv) with
+    U*M*V = D and Vinv the inverse of V.
 
     U and V are unimodular; D is diagonal with d1 | d2 | ... and
-    nonnegative entries.
+    nonnegative entries.  Each column operation on V is matched by its
+    inverse row operation on Vinv, so Vinv is integral by construction.
     """
     A = [list(row) for row in M]
     m = len(A)
     n = len(A[0]) if m else 0
     U = identity_matrix(m)
     V = identity_matrix(n)
+    Vinv = identity_matrix(n)
 
     def swap_rows(i, j):
         A[i], A[j] = A[j], A[i]
@@ -238,6 +212,7 @@ def smith_normal_form(M):
             row[i], row[j] = row[j], row[i]
         for row in V:
             row[i], row[j] = row[j], row[i]
+        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
 
     def add_row(dst, src, k):
         A[dst] = [x + k * y for x, y in zip(A[dst], A[src])]
@@ -248,6 +223,7 @@ def smith_normal_form(M):
             row[dst] += k * row[src]
         for row in V:
             row[dst] += k * row[src]
+        Vinv[src] = [x - k * y for x, y in zip(Vinv[src], Vinv[dst])]
 
     def negate_row(i):
         A[i] = [-x for x in A[i]]
@@ -301,7 +277,7 @@ def smith_normal_form(M):
         if A[t][t] < 0:
             negate_row(t)
         t += 1
-    return U, A, V
+    return U, A, V, Vinv
 
 
 def diagonal_of(D):

@@ -17,7 +17,7 @@ from enum import Enum
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .errors import DomainError
+from .errors import DomainError, InternalError
 from .intlinalg import smith_normal_form
 
 
@@ -413,21 +413,27 @@ def periodic_points(A, n):
     B = [[An.a - 1, An.b], [An.c, An.d - 1]]
     det = B[0][0] * B[1][1] - B[0][1] * B[1][0]
     count = abs(det)
-    assert count > 0
+    if count == 0:
+        raise InternalError("det(A^%d - I) vanishes for the Anosov matrix %s"
+                            % (n, A))
     if count > MAX_PERIODIC_POINTS:
         raise DomainError("A^%d has %d fixed points, more than the %d that "
                           "periodic_points lists" % (n, count,
                                                      MAX_PERIODIC_POINTS))
-    U, D, V = smith_normal_form(B)
+    U, D, V, _ = smith_normal_form(B)
     d1, d2 = D[0][0], D[1][1]
-    assert d1 * d2 == count
+    if d1 * d2 != count:
+        raise InternalError("Smith divisors %d and %d of A^%d - I do not "
+                            "multiply to |det| = %d" % (d1, d2, n, count))
     # numerators over count of V (i/d1, j/d2): i/d1 = i d2/count, and
     # j/d2 = j d1/count
     a0, a1 = V[0][0] * d2 % count, V[1][0] * d2 % count
     b0, b1 = V[0][1] * d1 % count, V[1][1] * d1 % count
     points = {((a0 * i + b0 * j) % count, (a1 * i + b1 * j) % count)
               for i in range(d1) for j in range(d2)}
-    assert len(points) == count
+    if len(points) != count:
+        raise InternalError("%d distinct points fixed by A^%d, not |det| = %d"
+                            % (len(points), n, count))
     # one Fraction per numerator; equal denominators sort as numerators
     frac = [Fraction(v, count) for v in range(count)]
     return count, [(frac[u], frac[v]) for u, v in sorted(points)]

@@ -1,18 +1,25 @@
 import itertools
+import os
+import pathlib
 import random
+import re
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
 
+import minfol
 from minfol.errors import DomainError
 from minfol import intlinalg as la
 from minfol import permutations as perms
 from minfol.homology import (homology_basis, homology_rank, displacement,
-                             word_chain_map, induced_action, torelli_order)
+                             induced_action, torelli_order, _push_word)
 from minfol.origami import (Origami, TORUS, WOLLMILCHSAU, LiftWitness,
                             lift_automorphism, relabel, act_word,
                             pillowcase_origami)
-from minfol.sl2z import IntMatrix2, GenToken, word_matrix
+from minfol.sl2z import IntMatrix2, GenToken, decompose_st, word_matrix
 
 CAT = IntMatrix2(2, 1, 1, 1)
 
@@ -77,7 +84,7 @@ def test_basis_properties_fuzz():
                 assert basis.decompose(b) == (0,) * n
 
 
-def test_decompose_mod_boundaries_and_pairing():
+def test_decompose_mod_boundaries():
     rng = random.Random(37)
     for trial in range(60):
         o = random_origami(rng)
@@ -88,19 +95,21 @@ def test_decompose_mod_boundaries_and_pairing():
         b = basis.face_boundaries[rng.randrange(len(basis.face_boundaries))]
         shifted = [zi + 3 * bi for zi, bi in zip(z, b)]
         assert basis.decompose(shifted) == basis.decompose(z)
-        # pairing agrees with the form on basis vectors
-        i = rng.randrange(basis.rank)
-        j = rng.randrange(basis.rank)
-        assert basis.pairing(basis.cycles[i], basis.cycles[j]) == \
-            basis.intersection[i][j]
 
 
 def solve_decompose(basis, x):
     """Reference: coordinates of x by an exact solve against the basis
     cycles and the face boundaries, or None if x is not a cycle."""
     cols = list(basis.cycles) + list(basis.face_boundaries)
-    sol = la.solve_rational([[c[i] for c in cols] for i in range(len(x))], x)
-    return None if sol is None else tuple(sol[:basis.rank])
+    n = len(cols)
+    R, pivots, _ = la._rref([[c[i] for c in cols] + [x[i]]
+                             for i in range(len(x))])
+    if n in pivots:
+        return None
+    sol = [Fraction(0)] * n
+    for row, pc in zip(R, pivots):
+        sol[pc] = Fraction(row[n], row[pc])
+    return tuple(sol[:basis.rank])
 
 
 def test_decompose_agrees_with_exact_solve():
@@ -205,21 +214,23 @@ def identity_witness(word_tokens, o):
 
 def test_group_relations_act_trivially_on_chains():
     # S^4, T T^-1 and (-I)^2 all return every origami to itself with
-    # the identity relabeling, and their chain maps must be exactly 1
+    # the identity relabeling, and their chain maps must be exactly 1:
+    # pushing every unit edge vector gives back the same vector
     rng = random.Random(41)
     S, T, TI, N = GenToken.S, GenToken.T, GenToken.T_INV, GenToken.NEG_I
     for trial in range(40):
         o = random_origami(rng)
+        units = la.identity_matrix(2 * o.d)
         for word in ([S, S, S, S], [T, TI], [TI, T], [N, N]):
             w = identity_witness(word, o)
             assert w.verify(o)
-            C = word_chain_map(w, o)
-            assert la.mat_eq(C, la.identity_matrix(2 * o.d))
+            assert _push_word(w, o, units) == units
 
 
 def test_chain_map_preserves_boundaries_and_cycles():
     rng = random.Random(43)
     toks = list(GenToken)
+    checked = 0
     for trial in range(40):
         o = random_origami(rng)
         word = [rng.choice(toks) for _ in range(rng.randrange(1, 6))]
@@ -235,13 +246,20 @@ def test_chain_map_preserves_boundaries_and_cycles():
         if not w.verify(o):
             continue
         basis = homology_basis(o)
-        C = word_chain_map(w, o)
-        for z in basis.cycles:
-            basis.decompose(la.mat_vec(C, list(z)))  # raises if not a cycle
-        for b in basis.face_boundaries:
-            if any(b):
-                assert basis.decompose(la.mat_vec(C, list(b))) == \
-                    (0,) * basis.rank
+        for y in _push_word(w, o, basis.cycles):
+            basis.decompose(y)  # raises if not a cycle
+        boundaries = [b for b in basis.face_boundaries if any(b)]
+        for y in _push_word(w, o, boundaries):
+            assert basis.decompose(y) == (0,) * basis.rank
+        # every edge is a straight segment, and the lift has derivative
+        # the word's matrix: the image of an edge is displaced by that
+        # matrix applied to the edge's own displacement
+        units = la.identity_matrix(2 * o.d)
+        A = word_matrix(word)
+        for e, y in zip(units, _push_word(w, o, units)):
+            assert displacement(o, y) == A.apply(displacement(o, e))
+        checked += 1
+    assert checked >= 15
 
 
 # ---------------------------------------------------------- torus action
@@ -301,6 +319,84 @@ def test_induced_action_rejects_stale_witness():
     other = relabel(WOLLMILCHSAU, perms.parse_cycles("(1 2)", 8))
     with pytest.raises(DomainError):
         induced_action(w, other)
+
+
+BAD_WITNESSES = [
+    # the word T moves the Wollmilchsau's gluings, and no relabeling
+    # brings them back with the identity
+    ((GenToken.T,), tuple(range(8)),
+     "witness does not carry the origami to itself"),
+    (tuple(decompose_st(CAT)), (0, 0, 1, 2, 3, 4, 5, 6),
+     "relabeling is not a permutation of the squares"),
+    (tuple(decompose_st(CAT)), tuple(range(7)),
+     "relabeling is not a permutation of the squares"),
+    ((GenToken.S, "R", GenToken.S), tuple(range(8)), "unknown token 'R'"),
+]
+
+
+@pytest.mark.parametrize("word,relabeling,message", BAD_WITNESSES,
+                         ids=["word_moves_o", "relabeling_repeats",
+                              "relabeling_too_short", "unknown_token"])
+def test_induced_action_refuses_a_bad_witness(word, relabeling, message):
+    w = LiftWitness(matrix=CAT, word=word, relabeling=relabeling)
+    with pytest.raises(DomainError, match="^%s$" % re.escape(message)):
+        induced_action(w, WOLLMILCHSAU)
+
+
+EXPECTED_REFUSALS = [
+    "DomainError: the left factor of a product needs rows of length 1",
+    "DomainError: witness does not carry the origami to itself",
+    "DomainError: relabeling is not a permutation of the squares",
+    "DomainError: unknown token 'R'",
+    "InternalError: Smith divisors 1 and 1 of A^2 - I do not multiply to "
+    "|det| = 5",
+    "InternalError: 1 distinct points fixed by A^2, not |det| = 5",
+    "InternalError: det(A^1 - I) vanishes for the Anosov matrix (1 1; 0 1)",
+]
+
+
+def test_refusals_and_count_checks_survive_python_O():
+    # under -O every assert is stripped (the script's own assert False
+    # passes), but the bad-witness refusal, the mat_mul shape check and
+    # the periodic-point count checks are explicit raises
+    script = textwrap.dedent("""
+        assert False
+        from minfol import intlinalg, sl2z
+        from minfol.errors import DomainError, InternalError
+        from minfol.homology import induced_action
+        from minfol.origami import WOLLMILCHSAU, LiftWitness
+        from minfol.sl2z import GenToken, IntMatrix2
+
+        def refusal(f, *args):
+            try:
+                f(*args)
+            except (DomainError, InternalError) as e:
+                return "%s: %s" % (type(e).__name__, e)
+            return "accepted"
+
+        cat = IntMatrix2(2, 1, 1, 1)
+        print(refusal(intlinalg.mat_mul, [[1, 2]], [[1]]))
+        for word, r in (((GenToken.T,), tuple(range(8))),
+                        ((), tuple(range(7))),
+                        (("R",), tuple(range(8)))):
+            print(refusal(induced_action, LiftWitness(cat, word, r),
+                          WOLLMILCHSAU))
+        I = [[1, 0], [0, 1]]
+        sl2z.smith_normal_form = lambda B: (I, I, I, I)
+        print(refusal(sl2z.periodic_points, cat, 2))
+        sl2z.smith_normal_form = lambda B: (I, [[1, 0], [0, 5]],
+                                            [[0, 0], [0, 0]], I)
+        print(refusal(sl2z.periodic_points, cat, 2))
+        sl2z.classify = lambda A: sl2z.Anosov(None, None, None)
+        print(refusal(sl2z.periodic_points, IntMatrix2(1, 1, 0, 1), 1))
+    """)
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith(("MINFOL_", "PYTHONOPTIMIZE"))}
+    env["PYTHONPATH"] = str(pathlib.Path(minfol.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == EXPECTED_REFUSALS
 
 
 def test_induced_actions_found_by_search_are_symplectic():

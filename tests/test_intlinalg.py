@@ -6,6 +6,11 @@ from math import gcd
 import pytest
 
 from minfol import intlinalg as la
+from minfol.errors import DomainError
+
+
+def mat_vec(A, v):
+    return [sum(a * x for a, x in zip(row, v)) for row in A]
 
 
 def random_matrix(rng, m, n, lo=-6, hi=7):
@@ -79,7 +84,7 @@ def test_rank_and_kernel_dimensions():
         ker = la.kernel_rational(A)
         assert r + len(ker) == n
         for v in ker:
-            out = la.mat_vec(A, list(v))
+            out = mat_vec(A, v)
             assert all(x == 0 for x in out)
 
 
@@ -95,27 +100,6 @@ def test_kernel_vectors_are_primitive_integer():
     assert g == 1
 
 
-def test_solve_rational_roundtrip():
-    rng = random.Random(3)
-    solved = 0
-    for trial in range(200):
-        n = rng.randrange(1, 5)
-        A = random_matrix(rng, n, n)
-        x = [Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))
-             for _ in range(n)]
-        b = la.mat_vec(A, x)
-        sol = la.solve_rational(A, list(b))
-        if sol is None:
-            continue
-        solved += 1
-        assert la.mat_vec(A, sol) == list(b)
-    assert solved > 100
-
-
-def test_solve_rational_reports_inconsistent_system():
-    assert la.solve_rational([[1, 0], [1, 0]], [1, 2]) is None
-
-
 def test_det_and_inverse():
     rng = random.Random(5)
     for trial in range(150):
@@ -124,11 +108,13 @@ def test_det_and_inverse():
         d = la.det_rational(A)
         if d == 0:
             with pytest.raises(ValueError):
-                la.mat_inverse_rational(A)
+                la._adjugate(A)
             continue
-        Ai = la.mat_inverse_rational(A)
-        assert la.mat_eq(la.mat_mul(A, Ai), la.identity_matrix(n))
-        assert la.mat_eq(la.mat_mul(Ai, A), la.identity_matrix(n))
+        adj, det = la._adjugate(A)
+        assert det == d
+        dI = [[d * x for x in row] for row in la.identity_matrix(n)]
+        assert la.mat_eq(la.mat_mul(A, adj), dI)
+        assert la.mat_eq(la.mat_mul(adj, A), dI)
 
 
 def test_det_multiplicative():
@@ -147,10 +133,12 @@ def test_smith_normal_form_properties():
         m = rng.randrange(1, 6)
         n = rng.randrange(1, 6)
         A = random_matrix(rng, m, n)
-        U, D, V = la.smith_normal_form(A)
+        U, D, V, Vinv = la.smith_normal_form(A)
         assert la.mat_eq(la.mat_mul(la.mat_mul(U, A), V), D)
         assert abs(la.det_rational(U)) == 1
         assert abs(la.det_rational(V)) == 1
+        assert la.mat_eq(la.mat_mul(V, Vinv), la.identity_matrix(n))
+        assert la.mat_eq(la.mat_mul(Vinv, V), la.identity_matrix(n))
         diag = la.diagonal_of(D)
         # off-diagonal zero, nonnegative divisor chain
         for i in range(m):
@@ -165,9 +153,14 @@ def test_smith_normal_form_properties():
                 assert b % a == 0
 
 
+def test_mat_mul_refuses_mismatched_shapes():
+    with pytest.raises(DomainError, match="rows of length 3$"):
+        la.mat_mul([[1, 2]], [[1], [2], [3]])
+
+
 def test_smith_normal_form_fixed_example():
     # worked by hand: gcd of entries 2, |det| = 8, so divisors 2 and 4
-    U, D, V = la.smith_normal_form([[2, 4], [6, 8]])
+    U, D, V, Vinv = la.smith_normal_form([[2, 4], [6, 8]])
     assert la.diagonal_of(D) == [2, 4]
 
 
@@ -201,25 +194,18 @@ def test_kernel_agrees_with_reference_gauss_jordan():
             assert k == [k[fc] * x for x in v]
             assert gcd(*k) == 1
             assert next(x for x in k if x) > 0
-        b = [rng.randrange(-4, 5) for _ in range(m)]
-        R, pivots, _ = gauss_jordan([row + [bb] for row, bb in zip(A, b)])
-        sol = la.solve_rational(A, b)
-        if n in pivots:
-            assert sol is None
-        else:
-            x = [Fraction(0)] * n
-            for r, pc in enumerate(pivots):
-                x[pc] = R[r][n]
-            assert sol == x
         if m == n:
             assert la.det_rational(A) == det
             if det == 0:
                 with pytest.raises(ValueError):
-                    la.mat_inverse_rational(A)
-            else:
+                    la._adjugate(A)
+            elif all(type(x) is int for row in A for x in row):
                 R, _, _ = gauss_jordan([row + [int(i == j) for j in range(n)]
                                         for i, row in enumerate(A)])
-                assert la.mat_inverse_rational(A) == [row[n:] for row in R]
+                adj, d = la._adjugate(A)
+                assert d == det
+                assert [[Fraction(x, d) for x in row] for row in adj] == \
+                    [row[n:] for row in R]
 
 
 def leibniz_det(M):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from minfol import sl2z
-from minfol.errors import DomainError
+from minfol.errors import DomainError, InternalError
 from minfol.sl2z import (IntMatrix2, QuadraticIrrational, Periodic,
                          Parabolic, Anosov, classify, parabolic_normal_form,
                          periodic_points, GenToken, word_matrix,
@@ -258,6 +258,23 @@ def test_periodic_points_refuses_more_than_the_limit(monkeypatch):
     assert periodic_points(CAT, 2)[0] == 5        # at the limit: listed
     with pytest.raises(DomainError, match="more than the 5"):
         periodic_points(CAT, 3)                   # 16 points
+
+
+def test_periodic_points_certificate_checks(monkeypatch):
+    # stand-ins for a broken Smith form and classifier make each count
+    # check fail, as a defect in the library would
+    I = [[1, 0], [0, 1]]
+    monkeypatch.setattr(sl2z, "smith_normal_form", lambda B: (I, I, I, I))
+    with pytest.raises(InternalError, match="do not multiply to .* 5$"):
+        periodic_points(CAT, 2)
+    monkeypatch.setattr(sl2z, "smith_normal_form",
+                        lambda B: (I, [[1, 0], [0, 5]], [[0, 0], [0, 0]], I))
+    with pytest.raises(InternalError, match="^1 distinct points"):
+        periodic_points(CAT, 2)
+    monkeypatch.setattr(sl2z, "classify",
+                        lambda A: sl2z.Anosov(None, None, None))
+    with pytest.raises(InternalError, match="vanishes"):
+        periodic_points(T, 1)
 
 
 def test_periodic_points_rejects_non_anosov():
