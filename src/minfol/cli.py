@@ -274,8 +274,12 @@ def cmd_pipeline_frw(args, inputs):
                                       torelli_k=act.torelli_order)
     if g > 1:
         # lifted hyperbolic monodromy: fixed classes project to zero
-        assert act.torelli_order <= 2 * g - 2
-        assert act.fixed_in_displacement_kernel
+        if act.torelli_order > 2 * g - 2:
+            raise InternalError("torelli order %d exceeds 2g - 2 = %d"
+                                % (act.torelli_order, 2 * g - 2))
+        if not act.fixed_in_displacement_kernel:
+            raise InternalError("a class fixed by the lift has nonzero "
+                                "displacement on the base torus")
     fibre = [len(c) for c in o.vertex_cycles() if len(c) >= 2]
     if fibre:
         growth = cover_mod.leaf_genus_growth_fibres(

@@ -29,7 +29,9 @@ The action of a lift on H_1 is one walk of its witness word: the 2g
 basis cycles are pushed token by token through the edge map of each
 generator while `origami._step` moves the gluings along, then
 relabeled, and the walk ends by checking that the relabeled gluings
-are those of the origami it started from.
+are those of the origami it started from.  One kernel of M - I gives
+both the dimension of the fixed space and the fixed classes whose
+drift on the base torus is checked.
 
 The intersection form needs care.  Counting crossings of pushed-off
 edge cycles fails at cone points, where a translated cycle no longer
@@ -40,15 +42,24 @@ it against the sum of all faces pairs cocycle classes:
 
     (a . b)[S] = sum_i a(h_i) b(v_right(i)) - a(v_i) b(h_above(i))
 
-Poincare duality converts that to the intersection form on the cycle
-basis: J = -E Q^-1 E^T, where Q is the cocycle pairing above and E
-evaluates cocycles on the basis cycles; it is computed from the
-integer adjugate of Q with one exact division by det Q.  Everything is
-integer or Fraction arithmetic; no floating point enters this module.
+Poincare duality turns the pairing Q of a cocycle basis into the
+intersection form of a cycle basis: J = -E Q^-1 E^T, where E evaluates
+the cocycles on the cycles.  Any integral cocycle basis will do, and
+the Smith form already holds the one dual to the basis cycles: the last
+2g columns of V, read as functionals on the non-tree edges that vanish
+on the tree edges.  They are cocycles, since B V = U^-1 D has zero
+columns past r, so each vanishes on every face boundary.  A basis
+cycle's non-tree coordinates are its row of V^-1, so V^-1 V = 1 makes E
+the identity and J = -Q^-1, taken from the integer adjugate of Q with
+one exact division by det Q.  Q itself is one dot product per pair of
+cocycles, against the second one pre-permuted by the gluings.
+Everything is integer or Fraction arithmetic; no floating point enters
+this module.
 """
 
 from collections import namedtuple
 from dataclasses import dataclass, field
+from operator import mul
 
 from .errors import DomainError, InternalError
 from . import intlinalg as la
@@ -82,8 +93,8 @@ class HomologyBasis:
             net[t] -= xe
         if any(net):
             raise DomainError("vector is not a cycle of this complex")
-        return tuple(sum(x[e] * v for e, v in zip(self._nontree, col))
-                     for col in self._coords)
+        y = [x[e] for e in self._nontree]
+        return tuple(sum(map(mul, y, col)) for col in self._coords)
 
     def to_json(self):
         return {
@@ -122,46 +133,6 @@ def _face_boundary_vectors(o):
         vec[o.d + i] -= 1                    # v_i
         out.append(vec)
     return out
-
-
-def _cup_on_fundamental(o, a, b):
-    """Product of two 1-cocycles evaluated on the sum of all faces.
-
-    Valid only for cocycles (functionals vanishing on face boundaries);
-    the analogous count for cycles misses crossings at cone points.
-    """
-    d = o.d
-    total = 0
-    for i in range(d):
-        total += a[i] * b[d + o.sigma_h[i]]
-        total -= a[d + i] * b[o.sigma_v[i]]
-    return total
-
-
-def _d1(nverts, ends):
-    """Boundary map of the 1-skeleton, edges -> vertices.  Its rows are
-    also the coboundaries of the vertices."""
-    d1 = [[0] * len(ends) for _ in range(nverts)]
-    for e, (t, h) in enumerate(ends):
-        d1[h][e] += 1
-        d1[t][e] -= 1
-    return d1
-
-
-def _cocycle_class_basis(o, d1):
-    """2g integer cocycles whose classes span H^1 rationally.
-
-    Greedy over the kernel of the face boundaries: a cocycle is kept
-    when it is independent of the coboundaries (the rows of d1) and of
-    the cocycles before it.  Those are the pivot columns of the matrix
-    with all of these vectors as columns; every other column is the
-    last nonzero entry of one of its kernel vectors.
-    """
-    cocycles = la.kernel_rational(_face_boundary_vectors(o))
-    dependent = {max(i for i, x in enumerate(v) if x)
-                 for v in la.kernel_rational(la.transpose(d1 + cocycles))}
-    return [k for j, k in enumerate(cocycles, start=len(d1))
-            if j not in dependent]
 
 
 def displacement(o, x):
@@ -232,30 +203,17 @@ def homology_basis(o):
     (ends, nverts, parent_edge, parent_sign, nontree, boundaries,
      B) = _chain_complex(o)
 
-    # path from each vertex back to the root, as an edge chain
+    # path from each vertex back to the root, as (edge, sign) steps
     def path_to_root(v):
-        vec = [0] * (2 * d)
+        steps = []
         while parent_edge[v] is not None:
             e = parent_edge[v]
             sgn = parent_sign[v]
-            vec[e] -= sgn  # walk against the parent edge, toward the root
+            steps.append((e, -sgn))  # against the parent edge, rootward
             v = ends[e][0] if sgn == 1 else ends[e][1]
-        return vec
+        return steps
 
     root_paths = [path_to_root(v) for v in range(nverts)]
-
-    # fundamental cycle of a non-tree edge e: e plus tree paths closing it
-    fund = []
-    for e in nontree:
-        t, h = ends[e]
-        vec = [0] * (2 * d)
-        vec[e] += 1
-        # head -> root -> tail along the tree
-        for j, val in enumerate(root_paths[h]):
-            vec[j] += val
-        for j, val in enumerate(root_paths[t]):
-            vec[j] -= val
-        fund.append(vec)
 
     U, D, V, Vinv = la.smith_normal_form(B)
     divisors = [x for x in la.diagonal_of(D) if x != 0]
@@ -264,14 +222,24 @@ def homology_basis(o):
                             "not %d ones" % (o, divisors, d - 1))
     r = len(divisors)
     # U B V = D, so the boundary lattice is spanned by the first r rows
-    # of V^-1 and the quotient is generated by the remaining rows
+    # of V^-1 and the quotient is generated by the remaining rows.  A
+    # row gives a cycle's non-tree edges; each is closed through the
+    # tree, head to root to tail, so the net coefficient at a vertex
+    # says how often its root path is walked
     basis = []
-    for coords in Vinv[r:]:
+    for y in Vinv[r:]:
         vec = [0] * (2 * d)
-        for c, f in zip(coords, fund):
+        net = [0] * nverts
+        for e, c in zip(nontree, y):
             if c:
-                for j, val in enumerate(f):
-                    vec[j] += c * val
+                vec[e] = c
+                t, h = ends[e]
+                net[h] += c
+                net[t] -= c
+        for path, c in zip(root_paths, net):
+            if c:
+                for e, sgn in path:
+                    vec[e] += c * sgn
         basis.append(vec)
 
     rank = len(basis)
@@ -279,20 +247,29 @@ def homology_basis(o):
         raise InternalError("H_1 of %s has rank %d, not 2 * genus %d"
                             % (o, rank, 2 * o.genus()))
 
-    d1 = _d1(nverts, ends)
-    alphas = _cocycle_class_basis(o, d1)
-    if len(alphas) != rank:
-        raise InternalError("%d cocycle classes for H_1 of rank %d"
-                            % (len(alphas), rank))
-    E = [[sum(a * x for a, x in zip(alpha, z)) for alpha in alphas]
-         for z in basis]
-    Q = [[_cup_on_fundamental(o, au, aw) for aw in alphas] for au in alphas]
+    # the last rank columns of V are cocycles dual to the basis cycles:
+    # B V = U^-1 D vanishes past column r, and V^-1 V = 1 makes their
+    # values on the basis cycles the identity matrix
+    coords = la.transpose(V)[r:]
+    # the pairing reads the second cocycle at v_right(i) against h_i and
+    # at h_above(i), negated, against v_i; gather it there, per edge
+    partner = [d + o.sigma_h[e] if e < d else o.sigma_v[e - d]
+               for e in nontree]
+    sign = [1 if e < d else -1 for e in nontree]
+    paired = []
+    for col in coords:
+        b = [0] * (2 * d)
+        for e, x in zip(nontree, col):
+            b[e] = x
+        paired.append([s * b[p] for s, p in zip(sign, partner)])
+    Q = [[sum(map(mul, a, pb)) for pb in paired] for a in coords]
     if not _antisymmetric(Q):
         raise InternalError("the cocycle pairing is not antisymmetric")
-    # Q^-1 = adj(Q) / det(Q), and J is integral, so the division is exact
+    # J = -Q^-1 = -adj(Q) / det(Q), and J is integral, so the division
+    # is exact
     adj, det = la._adjugate(Q)
     J = []
-    for row in la.mat_mul(la.mat_mul(E, adj), la.transpose(E)):
+    for row in adj:
         if any(x % det for x in row):
             raise InternalError("the intersection form is not integral")
         J.append([-(x // det) for x in row])
@@ -306,8 +283,7 @@ def homology_basis(o):
                          face_boundaries=tuple(tuple(b) for b in boundaries),
                          _ends=tuple(ends),
                          _nontree=tuple(nontree),
-                         _coords=tuple(tuple(col)
-                                       for col in la.transpose(V)[r:]))
+                         _coords=tuple(tuple(col) for col in coords))
 
 
 def _antisymmetric(M):
@@ -419,26 +395,16 @@ def induced_action(witness, o):
     basis = homology_basis(o)
     images = _push_word(witness, o, basis.cycles)
     M = la.transpose([basis.decompose(y) for y in images])
-    rank = basis.rank
 
-    k, b1, sympl = torelli_order(M, [list(row) for row in basis.intersection])
-
-    MI = [[M[i][j] - (1 if i == j else 0) for j in range(rank)]
-          for i in range(rank)]
-    fixed_ok = True
-    ne = 2 * o.d
-    for vec in la.kernel_rational(MI):
-        edge = [0] * ne
-        for coeff, z in zip(vec, basis.cycles):
-            if coeff:
-                for i in range(ne):
-                    edge[i] += coeff * z[i]
-        if displacement(o, edge) != (0, 0):
-            fixed_ok = False
-            break
+    fixed, sympl = _fixed_space(M, basis.intersection)
+    # displacement is linear: a fixed class drifts by its coefficients
+    # against the drifts of the basis cycles
+    drifts = la.transpose([displacement(o, z) for z in basis.cycles])
+    fixed_ok = not any(sum(map(mul, vec, row))
+                       for vec in fixed for row in drifts)
     return HomologyAction(
         matrix=tuple(tuple(row) for row in M),
-        torelli_order=k, b1=b1, symplectic=sympl,
+        torelli_order=len(fixed), b1=len(fixed) + 1, symplectic=sympl,
         fixed_in_displacement_kernel=fixed_ok, basis=basis)
 
 
@@ -446,11 +412,21 @@ def torelli_order(M, J):
     """(k, b1, symplectic) for an integer matrix acting on a
     symplectic lattice.
 
-    k is the rational dimension of the fixed space of M, b1 = k + 1 is
-    the first Betti number of the mapping torus of any map inducing M,
-    and the flag reports whether M preserves the form J exactly.  J
-    must be a unimodular antisymmetric integer matrix of matching size.
+    k is the rational dimension of the fixed space of M, the length of
+    the kernel basis of M - I, b1 = k + 1 is the first Betti number of
+    the mapping torus of any map inducing M, and the flag reports
+    whether M preserves the form J exactly.  J must be a unimodular
+    antisymmetric integer matrix of matching size, or DomainError is
+    raised.  `induced_action` reads the same kernel, so M - I is
+    eliminated once per action.
     """
+    fixed, sympl = _fixed_space(M, J)
+    return len(fixed), len(fixed) + 1, sympl
+
+
+def _fixed_space(M, J):
+    """(kernel basis of M - I, whether M^T J M = J), after checking
+    that J is a unimodular antisymmetric form of the size of M."""
     n = len(M)
     if any(len(row) != n for row in M):
         raise DomainError("matrix must be square")
@@ -464,8 +440,7 @@ def torelli_order(M, J):
         raise DomainError("form must be unimodular")
     MI = [[M[i][j] - (1 if i == j else 0) for j in range(n)]
           for i in range(n)]
-    k = n - la.rank_rational(MI) if n else 0
     Ml = [list(row) for row in M]
     Jl = [list(row) for row in J]
     sympl = la.mat_eq(la.mat_mul(la.mat_mul(la.transpose(Ml), Jl), Ml), Jl)
-    return k, k + 1, sympl
+    return la.kernel_rational(MI), sympl

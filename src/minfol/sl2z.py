@@ -511,5 +511,7 @@ def decompose_st(A):
     word.extend([tok] * abs(shift))
     if sign < 0:
         word.insert(0, GenToken.NEG_I)
-    assert word_matrix(word) == A
+    if word_matrix(word) != A:
+        raise InternalError("the S/T word of %s multiplies back to %s"
+                            % (A, word_matrix(word)))
     return word

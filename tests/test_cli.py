@@ -243,3 +243,44 @@ def test_certificate_checks_survive_python_O():
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr == "internal error: the intersection form has " \
                           "determinant 2, not 1\n"
+
+
+# stand-ins that break one certificate each: the pipeline's Torelli
+# bound, its fixed-class drift check, and the S/T word round trip of
+# decompose_st, which every lift goes through
+BROKEN_CERTIFICATES = [
+    ("""
+        real = cli.hom.induced_action
+        cli.hom.induced_action = lambda w, o: dataclasses.replace(
+            real(w, o), torelli_order=5)
+     """, ["pipeline", "frw", "--matrix", "2 1 1 1"],
+     "internal error: torelli order 5 exceeds 2g - 2 = 4\n"),
+    ("""
+        real = cli.hom.induced_action
+        cli.hom.induced_action = lambda w, o: dataclasses.replace(
+            real(w, o), fixed_in_displacement_kernel=False)
+     """, ["pipeline", "frw", "--matrix", "2 1 1 1"],
+     "internal error: a class fixed by the lift has nonzero displacement "
+     "on the base torus\n"),
+    ("""
+        cli.sl2z.word_matrix = lambda word: cli.sl2z.IntMatrix2.identity()
+     """, ["classify", "--matrix", "2 1 1 1"],
+     "internal error: the S/T word of (2 1; 1 1) multiplies back to "
+     "(1 0; 0 1)\n"),
+]
+
+
+@pytest.mark.parametrize("patch,argv,message", BROKEN_CERTIFICATES,
+                         ids=["torelli_bound", "fixed_class_drift",
+                              "decompose_st_round_trip"])
+def test_pipeline_and_word_checks_survive_python_O(patch, argv, message):
+    script = "import dataclasses, sys\nassert False\n" \
+        "from minfol import cli\n" + textwrap.dedent(patch) + \
+        "sys.exit(cli.run(%r))\n" % (argv,)
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith(("MINFOL_", "PYTHONOPTIMIZE"))}
+    env["PYTHONPATH"] = str(pathlib.Path(minfol.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == message

@@ -1,4 +1,5 @@
 import itertools
+import operator
 import os
 import pathlib
 import random
@@ -146,11 +147,9 @@ def test_decompose_rejects_non_cycles():
             basis.decompose([0] * length)
 
 
-def old_homology_rank(o):
-    """Reference rank of H_1 from the full chain complex, built here
-    from the corner walk alone: 2d - rank d1 - rank d2 over all 2d
-    edges.  homology_rank collapses a spanning tree instead and does a
-    single elimination."""
+def full_chain_complex(o):
+    """(d1, face boundaries) over all 2d edges, built here from the
+    corner walk and the gluings alone."""
     d, sh, sv = o.d, o.sigma_h, o.sigma_v
     cyc = o.vertex_cycles()
     cls = [0] * d
@@ -170,18 +169,30 @@ def old_homology_rank(o):
         vec[sv[i]] -= 1
         vec[d + i] -= 1
         faces.append(vec)
-    return 2 * d - la.rank_rational(d1) - la.rank_rational(faces)
+    return d1, faces
+
+
+def old_homology_rank(o):
+    """Reference rank of H_1 from the full chain complex: 2d - rank d1
+    - rank d2 over all 2d edges.  homology_rank collapses a spanning
+    tree instead and does a single elimination."""
+    d1, faces = full_chain_complex(o)
+    return 2 * o.d - la.rank_rational(d1) - la.rank_rational(faces)
+
+
+def census(dmax):
+    for d in range(1, dmax + 1):
+        for sh in itertools.permutations(range(d)):
+            for sv in itertools.permutations(range(d)):
+                if perms.is_transitive([sh, sv], d):
+                    yield Origami(d, sh, sv)
 
 
 def test_homology_rank_matches_the_two_rank_formula_on_the_census():
     checked = 0
-    for d in range(1, 6):
-        for sh in itertools.permutations(range(d)):
-            for sv in itertools.permutations(range(d)):
-                if perms.is_transitive([sh, sv], d):
-                    o = Origami(d, sh, sv)
-                    assert homology_rank(o) == old_homology_rank(o), o
-                    checked += 1
+    for o in census(5):
+        assert homology_rank(o) == old_homology_rank(o), o
+        checked += 1
     assert checked == 11520
 
 
@@ -201,6 +212,107 @@ def test_homology_rank_examples():
                  perms.parse_cycles("(1 3)", 3))
     assert homology_rank(L3) == 4
     assert homology_rank(pillowcase_origami(4, (1, 1, 1, 1))) == 6
+
+
+# ------------------------------------------------------ intersection form
+
+
+def cup(o, a, b):
+    """The cocycle pairing on the sum of all faces, written out."""
+    d, sh, sv = o.d, o.sigma_h, o.sigma_v
+    return sum(a[i] * b[d + sh[i]] - a[d + i] * b[sv[i]] for i in range(d))
+
+
+def old_intersection_form(o, cycles):
+    """Reference J = -E Q^-1 E^T from a cocycle basis found without the
+    Smith form: the kernel of the face boundaries, kept greedily where
+    independent of the coboundaries (the rows of d1) and of the kept
+    cocycles, then E evaluates them on the cycles and Q pairs them."""
+    d1, faces = full_chain_complex(o)
+    cocycles = la.kernel_rational(faces)
+    # the pivot columns of [d1^T | cocycles^T] are the independent ones;
+    # every other column is the last nonzero entry of a kernel vector
+    dependent = {max(i for i, x in enumerate(v) if x)
+                 for v in la.kernel_rational(la.transpose(d1 + cocycles))}
+    alphas = [k for j, k in enumerate(cocycles, start=len(d1))
+              if j not in dependent]
+    assert len(alphas) == len(cycles)
+    E = [[sum(a * x for a, x in zip(alpha, z)) for alpha in alphas]
+         for z in cycles]
+    Q = [[cup(o, a, b) for b in alphas] for a in alphas]
+    adj, det = la._adjugate(Q)
+    EQE = la.mat_mul(la.mat_mul(E, adj), la.transpose(E))
+    assert all(x % det == 0 for row in EQE for x in row)
+    return tuple(tuple(-(x // det) for x in row) for row in EQE)
+
+
+def form_test_origamis():
+    """The census up to d = 4 and seeded random origamis up to d = 32."""
+    rng = random.Random(67)
+    big = [random_origami(rng, dmax=32) for _ in range(12)]
+    big += [pillowcase_origami(16, (1, 1, 1, 13))]
+    return list(census(4)) + big
+
+
+def test_intersection_form_matches_the_cocycle_kernel_oracle():
+    origamis = form_test_origamis()
+    assert len(origamis) == 456 + 13
+    assert max(o.d for o in origamis) == 32
+    for o in origamis:
+        basis = homology_basis(o)
+        assert basis.intersection == old_intersection_form(o, basis.cycles), o
+
+
+def test_smith_cocycles_are_dual_to_the_basis_cycles():
+    for o in form_test_origamis():
+        basis = homology_basis(o)
+        n = basis.rank
+        cocycles = []
+        for col in basis._coords:
+            a = [0] * (2 * o.d)
+            for e, x in zip(basis._nontree, col):
+                a[e] = x
+            cocycles.append(a)
+        for a in cocycles:
+            assert all(sum(map(operator.mul, a, b)) == 0
+                       for b in basis.face_boundaries), o
+        assert [[sum(map(operator.mul, a, z)) for a in cocycles]
+                for z in basis.cycles] == la.identity_matrix(n), o
+        Q = [[cup(o, a, b) for b in cocycles] for a in cocycles]
+        minus_one = [[-x for x in row] for row in la.identity_matrix(n)]
+        assert la.mat_mul(Q, mat_of(basis.intersection)) == minus_one, o
+
+
+def count_calls(monkeypatch, module, names):
+    calls = {name: [] for name in names}
+    for name in names:
+        def counted(*args, fn=getattr(module, name), name=name):
+            calls[name].append(args)
+            return fn(*args)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_basis_and_action_eliminate_once(monkeypatch):
+    calls = count_calls(monkeypatch, la, ["smith_normal_form",
+                                          "kernel_rational",
+                                          "rank_rational"])
+    o = pillowcase_origami(8, (1, 1, 1, 5))
+    homology_basis(o)
+    assert {k: len(v) for k, v in calls.items()} == {
+        "smith_normal_form": 1, "kernel_rational": 0, "rank_rational": 0}
+    w = lift_automorphism(CAT ** 3, o)
+    for v in calls.values():
+        v.clear()
+    act = induced_action(w, o)
+    assert {k: len(v) for k, v in calls.items()} == {
+        "smith_normal_form": 1, "kernel_rational": 1, "rank_rational": 0}
+    n = act.basis.rank
+    assert calls["kernel_rational"][0][0] == [
+        [x - (i == j) for j, x in enumerate(row)]
+        for i, row in enumerate(act.matrix)]
+    assert act.torelli_order == n - la.rank_rational(
+        calls["kernel_rational"][0][0])
 
 
 # ------------------------------------------------------- chain-level maps
@@ -439,7 +551,6 @@ def test_identity_witness_fixes_everything():
 
 
 def deck_transformations(o):
-    import itertools
     out = []
     for r in itertools.permutations(range(o.d)):
         if perms.conjugate(o.sigma_h, r) == o.sigma_h and \
