@@ -7,8 +7,15 @@ Exit codes: 0 success, 1 usage errors, 2 domain errors, 3 internal
 errors (a certificate check failed).
 
 Environment: MINFOL_SEED supplies the default seed for seeded
-subcommands, MINFOL_THREADS is recorded in provenance for runners that
-shard work externally.  Both are overridden by explicit flags.
+subcommands, overridden by --seed.  MINFOL_THREADS is only echoed into
+the report's provenance, for runners that shard work externally;
+nothing in minfol reads it otherwise, and every command runs on one
+thread.
+
+Each process loads only the layers its command needs: `import minfol`
+loads no submodule, this module imports sl2z and torus3 (the parser
+needs the MonodromyClass values), and each handler imports the rest of
+what it uses.
 
 Generator specs for the holonomy commands: "rot:0.25", "dbl",
 "aff:k=1,b=1/2", "mob:a,b,c,d".  Lists are separated by ';' (the mob
@@ -23,21 +30,32 @@ place; `inputs["seed"]` is also the provenance seed.
 """
 
 import argparse
+import importlib
 import json
 import os
 import sys
 
 from . import __version__
 from .errors import DomainError, InternalError
-from . import cover as cover_mod
-from . import holonomy as hol
-from . import homology as hom
-from . import origami as ori
-from . import permutations as perms
+# torus3 (and through it sl2z) is needed to build the parser: the
+# --class choices are the MonodromyClass values
 from . import sl2z
 from . import torus3
 
 SCHEMA_ID = "minfol-report/1"
+
+# the other layers are imported by the handlers that use them, under
+# these names; `cli.hom` and the rest resolve through __getattr__
+_HANDLER_MODULES = {"cover_mod": "cover", "hol": "holonomy",
+                    "hom": "homology", "ori": "origami",
+                    "perms": "permutations"}
+
+
+def __getattr__(name):
+    if name in _HANDLER_MODULES:
+        return importlib.import_module("." + _HANDLER_MODULES[name],
+                                       __package__)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 class UsageError(Exception):
@@ -97,6 +115,7 @@ def _chunks(text):
 
 
 def _gen_list(text):
+    from . import holonomy as hol
     out = [hol.parse_generator(chunk) for chunk in _chunks(text)]
     if not out:
         raise UsageError("no generators in %r" % text)
@@ -104,6 +123,7 @@ def _gen_list(text):
 
 
 def _origami_from_args(args):
+    from . import origami as ori, permutations as perms
     if args.name:
         return ori.named_origami(args.name)
     if not (args.sigma_h and args.sigma_v):
@@ -146,6 +166,7 @@ def cmd_origami_build(args, inputs):
 
 
 def cmd_origami_lift(args, inputs):
+    from . import origami as ori
     A = sl2z.IntMatrix2.from_string(args.matrix)
     w = ori.lift_automorphism(A, _origami_from_args(args))
     if w is None:
@@ -157,12 +178,14 @@ def cmd_origami_lift(args, inputs):
 
 
 def cmd_origami_pillowcase(args, inputs):
+    from . import cover as cover_mod, origami as ori
     d, a = args.d, args.a
     return {**ori.pillowcase_origami(d, a).to_json(),
             "expected_genus": cover_mod.pillowcase_genus(d, a).genus}
 
 
 def cmd_cover_pillowcase(args, inputs):
+    from . import cover as cover_mod
     d, a = args.d, args.a
     pc = cover_mod.pillowcase_genus(d, a)
     sphere = cover_mod.pillowcase_sphere_profile(d, a)
@@ -174,21 +197,25 @@ def cmd_cover_pillowcase(args, inputs):
 
 
 def cmd_cover_double(args, inputs):
+    from . import cover as cover_mod
     spec = cover_mod.build_double_cover(args.n)
     return {**spec.to_json(), "genus": spec.genus()}
 
 
 def cmd_cover_growth(args, inputs):
+    from . import cover as cover_mod
     return cover_mod.leaf_genus_growth(args.d, args.per_point,
                                        args.k).to_json()
 
 
 def cmd_homology_basis(args, inputs):
+    from . import homology as hom
     o = _origami_from_args(args)
     return {**hom.homology_basis(o).to_json(), "genus": o.genus()}
 
 
 def cmd_homology_action(args, inputs):
+    from . import homology as hom, origami as ori
     A = sl2z.IntMatrix2.from_string(args.matrix)
     o = _origami_from_args(args)
     w = ori.lift_automorphism(A, o)
@@ -221,6 +248,7 @@ def cmd_torus3_euler(args, inputs):
 
 
 def cmd_torus3_periods(args, inputs):
+    from . import holonomy as hol
     vectors = [[hol.parse_rational(p.strip()) for p in chunk.split(",")]
                for chunk in _chunks(args.vectors)]
     inputs["vectors"] = [[str(x) for x in v] for v in vectors]
@@ -228,6 +256,7 @@ def cmd_torus3_periods(args, inputs):
 
 
 def cmd_holonomy_orbit(args, inputs):
+    from . import holonomy as hol
     gens = _gen_list(args.gens)
     seed = inputs["seed"] = args.seed if args.seed is not None \
         else _env_int("MINFOL_SEED") or 0
@@ -236,16 +265,19 @@ def cmd_holonomy_orbit(args, inputs):
 
 
 def cmd_holonomy_stabilizer(args, inputs):
+    from . import holonomy as hol
     gens = _gen_list(args.gens)
     return hol.stabilizer_search(gens, hol.parse_rational(args.x),
                                  args.max_len).to_json()
 
 
 def cmd_holonomy_rotnum(args, inputs):
+    from . import holonomy as hol
     return hol.rotation_number(_gen_list(args.gens), args.n).to_json()
 
 
 def cmd_holonomy_commutator(args, inputs):
+    from . import holonomy as hol
     pairs = []
     for chunk in _chunks(args.pairs):
         halves = chunk.split("|")
@@ -257,6 +289,7 @@ def cmd_holonomy_commutator(args, inputs):
 
 
 def cmd_pipeline_frw(args, inputs):
+    from . import cover as cover_mod, homology as hom, origami as ori
     A = sl2z.IntMatrix2.from_string(args.matrix)
     c = sl2z.classify(A)
     if not isinstance(c, sl2z.Anosov):

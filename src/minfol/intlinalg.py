@@ -188,6 +188,22 @@ def _adjugate(M):
             for i, row in enumerate(R)], det
 
 
+def _min_pivot(A, t):
+    """(i, j) of the first nonzero entry of least absolute value in the
+    block A[t:][t:], in row-major order; None if the block is zero.  No
+    entry beats a unit, so the scan stops at the first one."""
+    pivot, best = None, 0
+    for i in range(t, len(A)):
+        row = A[i]
+        for j in range(t, len(row)):
+            x = row[j]
+            if x and (not best or abs(x) < best):
+                pivot, best = (i, j), abs(x)
+                if best == 1:
+                    return pivot
+    return pivot
+
+
 def smith_normal_form(M):
     """Smith normal form with transforms: returns (U, D, V, Vinv) with
     U*M*V = D and Vinv the inverse of V.
@@ -232,13 +248,7 @@ def smith_normal_form(M):
     t = 0
     while t < min(m, n):
         # move a nonzero entry of minimal absolute value to (t, t)
-        pivot = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if A[i][j] != 0 and (best is None or abs(A[i][j]) < best):
-                    best = abs(A[i][j])
-                    pivot = (i, j)
+        pivot = _min_pivot(A, t)
         if pivot is None:
             break
         i, j = pivot

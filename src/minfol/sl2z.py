@@ -336,7 +336,8 @@ def classify(A):
     mu_minus = QuadraticIrrational(t, -eps, disc, 2)
     # b = 0 with det 1 forces a = d = +-1, so |tr| = 2; hyperbolic
     # matrices always have b != 0 and finite slopes.
-    assert A.b != 0
+    if A.b == 0:
+        raise InternalError("the hyperbolic matrix %s has b = 0" % A)
     u_plus = (mu_plus - A.a) / Fraction(A.b)
     u_minus = (mu_minus - A.a) / Fraction(A.b)
     return Anosov(stretch=stretch, u_plus=u_plus, u_minus=u_minus)
@@ -363,7 +364,9 @@ def parabolic_normal_form(A):
     u = _complete_unimodular(w)
     P = IntMatrix2(w[0], u[0], w[1], u[1])
     N = P.inverse() * A * P
-    assert (N.a, N.c, N.d) == (1, 0, 1) and N.b != 0
+    if (N.a, N.c, N.d) != (1, 0, 1) or N.b == 0:
+        raise InternalError("conjugating %s by %s gives %s, not a shear"
+                            % (A, P, N))
     return N.b, P
 
 
@@ -379,7 +382,8 @@ def _complete_unimodular(w):
         old_r, r = r, old_r - qq * r
         old_s, s = s, old_s - qq * s
         old_t, t = t, old_t - qq * t
-    assert old_r in (1, -1)
+    if old_r not in (1, -1):
+        raise InternalError("%r is not primitive: gcd %d" % (w, abs(old_r)))
     # old_s * x + old_t * y = old_r
     if old_r == 1:
         return (-old_t, old_s)

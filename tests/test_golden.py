@@ -81,17 +81,42 @@ def test_every_command_has_a_passing_case():
     assert not missing
 
 
-@pytest.mark.parametrize("name", ["readme_classify_periodic",
-                                  "tsv_homology_basis_wollmilchsau"])
-def test_entry_point_process_matches_golden(name):
-    case = load(name)
+def replay_process(case):
+    """(exit code, stdout, stderr) of the case, run as a fresh
+    `python -m minfol.cli` process."""
     env = {k: v for k, v in os.environ.items() if k not in ENV_KEYS}
     env.update(case["env"])
     env["PYTHONPATH"] = str(ROOT / "src")
     proc = subprocess.run([sys.executable, "-m", "minfol.cli"]
                           + case["argv"], env=env, capture_output=True,
                           text=True, timeout=60)
-    assert (proc.returncode, proc.stdout, proc.stderr) == \
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("name", ["readme_classify_periodic",
+                                  "tsv_homology_basis_wollmilchsau"])
+def test_entry_point_process_matches_golden(name):
+    case = load(name)
+    assert replay_process(case) == \
+        (case["exit"], case["stdout"], case["stderr"])
+
+
+def first_passing_case(path):
+    for name in case_names():
+        case = load(name)
+        words = [a for a in case["argv"] if a != "--tsv"]
+        if case["exit"] == 0 and \
+                " ".join(words[:len(path.split())]) == path:
+            return case
+    raise LookupError("no passing case for %r" % path)
+
+
+@pytest.mark.parametrize("path", [row[0] for row in COMMANDS])
+def test_each_command_matches_golden_in_a_fresh_process(path):
+    # in-process replay runs after other tests have imported every
+    # layer; a fresh process shows that each handler imports its own
+    case = first_passing_case(path)
+    assert replay_process(case) == \
         (case["exit"], case["stdout"], case["stderr"])
 
 

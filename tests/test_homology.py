@@ -647,3 +647,40 @@ def test_torelli_order_detects_non_symplectic():
     k, b1, sympl = torelli_order(M, sympl_J(1))
     assert not sympl
     assert k == 1 and b1 == 2
+
+
+def random_unimodular(rng, n, steps=12):
+    P = la.identity_matrix(n)
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        P[i] = [x + c * y for x, y in zip(P[i], P[j])]
+    return P
+
+
+def test_symplectic_check_agrees_with_the_matrix_product():
+    from minfol.homology import _fixed_space
+
+    rng = random.Random(61)
+    seen = set()
+    for trial in range(120):
+        g = rng.randrange(1, 5)
+        n = 2 * g
+        P = random_unimodular(rng, n)
+        J = la.mat_mul(la.mat_mul(la.transpose(P), sympl_J(g)), P)
+        # a product of symplectic transvections x -> x + c J(x, v) v
+        M = la.identity_matrix(n)
+        for _ in range(rng.randrange(4)):
+            v = [rng.randrange(-2, 3) for _ in range(n)]
+            Jv = [sum(map(operator.mul, row, v)) for row in J]
+            c = rng.choice((-1, 1, 2))
+            T = [[(k == i) + c * v[k] * Jv[i] for i in range(n)]
+                 for k in range(n)]
+            M = la.mat_mul(T, M)
+        if trial % 2:
+            M[rng.randrange(n)][rng.randrange(n)] += rng.choice((-1, 1))
+        expected = la.mat_eq(
+            la.mat_mul(la.mat_mul(la.transpose(M), J), M), J)
+        assert _fixed_space(M, J)[1] == expected
+        seen.add(expected)
+    assert seen == {True, False}

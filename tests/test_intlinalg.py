@@ -239,3 +239,31 @@ def test_smith_form_matches_gcd_of_minors():
             factors.append(dk // prev if prev else 0)
             prev = dk
         assert la.diagonal_of(la.smith_normal_form(A)[1]) == factors
+
+
+def _full_scan_pivot(A, t):
+    """The pivot search as a full scan of the block: the first nonzero
+    entry of least absolute value in row-major order."""
+    pivot, best = None, None
+    for i in range(t, len(A)):
+        for j in range(t, len(A[i])):
+            if A[i][j] != 0 and (best is None or abs(A[i][j]) < best):
+                pivot, best = (i, j), abs(A[i][j])
+    return pivot
+
+
+def test_smith_pivot_scan_stopping_at_a_unit_gives_the_same_forms(
+        monkeypatch):
+    from minfol.homology import _chain_complex
+    from minfol.origami import pillowcase_origami
+
+    rng = random.Random(29)
+    matrices = [random_matrix(rng, rng.randrange(1, 8), rng.randrange(1, 8),
+                              -4, 5) for _ in range(300)]
+    # face boundaries in non-tree coordinates, every divisor 1
+    matrices += [_chain_complex(pillowcase_origami(n, (1, 1, 1, n - 3))).B
+                 for n in (32, 64, 128)]
+    early = [la.smith_normal_form(A) for A in matrices]
+    monkeypatch.setattr(la, "_min_pivot", _full_scan_pivot)
+    for A, forms in zip(matrices, early):
+        assert la.smith_normal_form(A) == forms

@@ -1,8 +1,14 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
 
+import minfol
 from minfol import sl2z
 from minfol.errors import DomainError, InternalError
 from minfol.sl2z import (IntMatrix2, QuadraticIrrational, Periodic,
@@ -312,3 +318,49 @@ def test_word_matrix_composes_right_to_left():
     # leftmost token acts last: word (T, S) is the matrix T * S
     assert word_matrix([GenToken.T, GenToken.S]) == T * S
     assert word_matrix([]) == IntMatrix2.identity()
+
+
+EXPECTED_CLASSIFY_REFUSALS = [
+    "InternalError: the hyperbolic matrix (3 0; 0 1) has b = 0",
+    "InternalError: conjugating (1 0; 1 1) by (0 -1; 1 0) gives "
+    "(0 -1; 1 -1), not a shear",
+    "InternalError: (2, 0) is not primitive: gcd 2",
+]
+
+
+def test_classify_checks_survive_python_O():
+    # under -O every assert is stripped (the script's own assert False
+    # passes), but the b != 0 check of classify, the shear check of
+    # parabolic_normal_form and the unit gcd of _complete_unimodular
+    # are explicit raises; each stand-in below breaks one of them
+    script = textwrap.dedent("""
+        assert False
+        from minfol import sl2z
+        from minfol.errors import InternalError
+        from minfol.sl2z import IntMatrix2
+
+        def refusal(f, *args):
+            try:
+                f(*args)
+            except InternalError as e:
+                return "InternalError: %s" % e
+            return "accepted"
+
+        check = sl2z._check_sl2z
+        sl2z._check_sl2z = lambda A: None
+        print(refusal(sl2z.classify, IntMatrix2(3, 0, 0, 1)))
+        sl2z._check_sl2z = check
+        inverse = IntMatrix2.inverse
+        IntMatrix2.inverse = lambda self: IntMatrix2.identity()
+        print(refusal(sl2z.parabolic_normal_form, IntMatrix2(1, 0, 1, 1)))
+        IntMatrix2.inverse = inverse
+        sl2z.gcd = lambda a, b: 1
+        print(refusal(sl2z.parabolic_normal_form, IntMatrix2(1, 2, 0, 1)))
+    """)
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith(("MINFOL_", "PYTHONOPTIMIZE"))}
+    env["PYTHONPATH"] = str(pathlib.Path(minfol.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == EXPECTED_CLASSIFY_REFUSALS
