@@ -36,8 +36,7 @@ _EXPORTS = {
                  "CommutatorCheck", "verify_commutator_product",
                  "circular_distance"),
 }
-_SUBMODULES = ("cover", "errors", "holonomy", "homology", "intlinalg",
-               "origami", "permutations", "sl2z", "torus3")
+_SUBMODULES = (*_EXPORTS, "intlinalg", "permutations")
 _HOME = {name: module for module, names in _EXPORTS.items()
          for name in names}
 

@@ -440,19 +440,5 @@ def _fixed_space(M, J):
         raise DomainError("form must be unimodular")
     MI = [[M[i][j] - (1 if i == j else 0) for j in range(n)]
           for i in range(n)]
-    # M^T J M row by row: a row of J M is a sum of rows of M over the
-    # nonzero entries of a row of J, and a row of M^T (J M) one of rows
-    # of J M over the nonzero entries of a column of M.  Both factors
-    # are sparse, and dense dot products measured slower
-    def row_sums(A, B):
-        out = []
-        for coeffs in A:
-            acc = [0] * n
-            for a, row in zip(coeffs, B):
-                if a:
-                    acc = [x + a * y for x, y in zip(acc, row)]
-            out.append(acc)
-        return out
-
-    sympl = row_sums(zip(*M), row_sums(J, M)) == [list(row) for row in J]
+    sympl = la.mat_eq(la.mat_mul(la.transpose(M), la.mat_mul(J, M)), J)
     return la.kernel_rational(MI), sympl

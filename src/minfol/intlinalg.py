@@ -33,10 +33,7 @@ def mat_mul(A, B):
             a = Ai[t]
             if a == 0:
                 continue
-            Bt = B[t]
-            Oi = out[i]
-            for j in range(p):
-                Oi[j] += a * Bt[j]
+            out[i] = [x + a * y for x, y in zip(out[i], B[t])]
     return out
 
 
