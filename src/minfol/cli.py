@@ -30,7 +30,6 @@ place; `inputs["seed"]` is also the provenance seed.
 """
 
 import argparse
-import importlib
 import json
 import os
 import sys
@@ -43,19 +42,6 @@ from . import sl2z
 from . import torus3
 
 SCHEMA_ID = "minfol-report/1"
-
-# the other layers are imported by the handlers that use them, under
-# these names; `cli.hom` and the rest resolve through __getattr__
-_HANDLER_MODULES = {"cover_mod": "cover", "hol": "holonomy",
-                    "hom": "homology", "ori": "origami",
-                    "perms": "permutations"}
-
-
-def __getattr__(name):
-    if name in _HANDLER_MODULES:
-        return importlib.import_module("." + _HANDLER_MODULES[name],
-                                       __package__)
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 class UsageError(Exception):

@@ -10,7 +10,7 @@ chi(cover) = degree * chi(base) - sum (e - 1) over all preimages.
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import DomainError
+from .errors import DomainError, InternalError
 from . import permutations as perms
 
 
@@ -132,7 +132,9 @@ class CoverSpec:
 
     def genus(self):
         chi = self.chi()
-        assert chi % 2 == 0
+        if chi % 2:
+            raise InternalError("the cover has odd Euler characteristic %d"
+                                % chi)
         return (2 - chi) // 2
 
     def to_json(self):
@@ -214,7 +216,9 @@ def pillowcase_genus(d, a):
     a = tuple(a)
     _pillowcase_check(d, a)
     chi = sum(gcd(d, ai) for ai in a) - 2 * d
-    assert chi % 2 == 0
+    if chi % 2:
+        raise InternalError("the pillowcase cover (d = %d, a = %s) has odd "
+                            "Euler characteristic %d" % (d, list(a), chi))
     genus = (2 - chi) // 2
     torus_profile = None
     if d % 2 == 0 and all(ai % 2 == 1 for ai in a) \
@@ -222,7 +226,10 @@ def pillowcase_genus(d, a):
         torus_profile = RamificationProfile(
             degree=2 * d,
             branch_points=(BranchPoint("p", (d // 2,) * 4),))
-        assert riemann_hurwitz_chi(0, torus_profile) == chi
+        torus_chi = riemann_hurwitz_chi(0, torus_profile)
+        if torus_chi != chi:
+            raise InternalError("the torus profile of the pillowcase cover "
+                                "gives chi = %d, not %d" % (torus_chi, chi))
     return PillowcaseCover(genus=genus, torus_profile=torus_profile)
 
 
@@ -295,6 +302,8 @@ def leaf_genus_growth_fibres(d, fibres, k):
     chi_sequence = []
     chi = d
     for i, fibre in enumerate(fibres, start=1):
+        if not fibre:
+            raise DomainError("point %d: no ramification indices" % i)
         if any(e < 2 for e in fibre):
             raise DomainError("point %d: ramification indices must be "
                               ">= 2" % i)
@@ -303,11 +312,14 @@ def leaf_genus_growth_fibres(d, fibres, k):
             raise DomainError(
                 "point %d: %d sheets ramify but the degree is %d"
                 % (i, used, d))
-        chi -= sum(e - 1 for e in fibre)
+        chi -= used - len(fibre)
         chi_sequence.append(chi)
     bound = d - k
     for j, c in enumerate(chi_sequence, start=1):
-        assert c <= d - j
-        if j >= 2:
-            assert c < chi_sequence[j - 2]
+        if c > d - j:
+            raise InternalError("chi = %d after %d branch points exceeds "
+                                "d - %d = %d" % (c, j, j, d - j))
+        if j >= 2 and c >= chi_sequence[j - 2]:
+            raise InternalError("chi = %d after %d branch points does not "
+                                "drop below %d" % (c, j, chi_sequence[j - 2]))
     return GrowthCertificate(chi_bound=bound, chi_sequence=tuple(chi_sequence))

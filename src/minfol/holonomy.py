@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
-from .errors import DomainError
+from .errors import DomainError, InternalError
 
 FIXED_POINT_TOL = 1e-9
 IDENTITY_TOL = 1e-6
@@ -382,7 +382,7 @@ def stabilizer_search(gens, x, max_len):
     the residual of the worst accepted witness is reported.  Witness
     composites with equal linear part must agree outright, since an
     affine map fixing x is determined by its linear part; that check
-    is a hard assertion.  Cyclic evidence means every witness is an
+    raises InternalError.  Cyclic evidence means every witness is an
     exact integer power of a shortest primitive witness.
     """
     gens = list(gens)
@@ -429,10 +429,11 @@ def stabilizer_search(gens, x, max_len):
                     e, f = (p - (p << -k)) * d + (n * q << -k), q * d << -k
                 if abs(e) * td < tn * f:
                     for w in witnesses:
-                        if w.composite.k == comp.k:
-                            assert w.composite.b == comp.b, \
-                                "two distinct affine maps with equal " \
-                                "linear part cannot fix the same point"
+                        if w.composite.k == comp.k and \
+                                w.composite.b != comp.b:
+                            raise InternalError(
+                                "two distinct affine maps with equal "
+                                "linear part cannot fix the same point")
                     witnesses.append(new)
                     # int / int rounds correctly, as float(Fraction) does
                     residual = max(residual, abs(e) / f)

@@ -19,8 +19,9 @@ cycle space by the face boundaries through a Smith normal form of B
 and lifts the surviving generators back to integer edge vectors.  With
 U B V = D the Smith form of B and all r nonzero divisors equal to 1,
 the rows of V^-1 split into r that span the boundaries and 2g that are
-the basis cycles; the Smith form returns V^-1 beside V, built by the
-inverse of each column operation, so no inversion is needed.  The
+the basis cycles.  Only the column transform is used: the Smith form
+returns the divisors with V and V^-1, built by the inverse of each
+column operation, so no inversion is needed and U is never built.  The
 coordinates of a cycle in the basis are y . V[:, r:], an integer dot
 product, and `HomologyBasis.decompose` keeps those columns of V
 instead of solving.
@@ -215,17 +216,17 @@ def homology_basis(o):
 
     root_paths = [path_to_root(v) for v in range(nverts)]
 
-    U, D, V, Vinv = la.smith_normal_form(B)
-    divisors = [x for x in la.diagonal_of(D) if x != 0]
+    diagonal, V, Vinv = la.smith_normal_form(B)
+    divisors = [x for x in diagonal if x != 0]
     if divisors != [1] * (d - 1):
         raise InternalError("face boundaries of %s have Smith divisors %s, "
                             "not %d ones" % (o, divisors, d - 1))
     r = len(divisors)
-    # U B V = D, so the boundary lattice is spanned by the first r rows
-    # of V^-1 and the quotient is generated by the remaining rows.  A
-    # row gives a cycle's non-tree edges; each is closed through the
-    # tree, head to root to tail, so the net coefficient at a vertex
-    # says how often its root path is walked
+    # B V = U^-1 D for a unimodular U, so the boundary lattice is
+    # spanned by the first r rows of V^-1 and the quotient is generated
+    # by the remaining rows.  A row gives a cycle's non-tree edges; each
+    # is closed through the tree, head to root to tail, so the net
+    # coefficient at a vertex says how often its root path is walked
     basis = []
     for y in Vinv[r:]:
         vec = [0] * (2 * d)

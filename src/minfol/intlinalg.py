@@ -7,7 +7,9 @@ division, after Bareiss (Math. Comp. 1968), as a forward pass
 `_echelon` and a back-substitution `_rref` on top of it.  Rational
 input is scaled to integer rows first, and a Fraction is made only for
 an output entry that needs one.  The Smith normal form has its own integer
-elimination, since it needs unimodular transforms.
+elimination, since it needs a unimodular column transform; it returns
+the divisors, not the dense diagonal matrix, and builds no row
+transform, which no caller reads.
 """
 
 from fractions import Fraction
@@ -202,23 +204,21 @@ def _min_pivot(A, t):
 
 
 def smith_normal_form(M):
-    """Smith normal form with transforms: returns (U, D, V, Vinv) with
-    U*M*V = D and Vinv the inverse of V.
+    """Smith normal form of an integer matrix M, with its column
+    transform: returns (divisors, V, Vinv).
 
-    U and V are unimodular; D is diagonal with d1 | d2 | ... and
-    nonnegative entries.  Each column operation on V is matched by its
-    inverse row operation on Vinv, so Vinv is integral by construction.
+    divisors are the min(m, n) diagonal entries d1 | d2 | ... of the
+    Smith form D = U M V, all nonnegative; V is unimodular and Vinv is
+    its inverse.  Each column operation on V is matched by its inverse
+    row operation on Vinv, so Vinv is integral by construction.  No
+    caller reads the row transform U, so the row operations act on M
+    alone and U is not built.
     """
     A = [list(row) for row in M]
     m = len(A)
     n = len(A[0]) if m else 0
-    U = identity_matrix(m)
     V = identity_matrix(n)
     Vinv = identity_matrix(n)
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
 
     def swap_cols(i, j):
         for row in A:
@@ -227,20 +227,12 @@ def smith_normal_form(M):
             row[i], row[j] = row[j], row[i]
         Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
 
-    def add_row(dst, src, k):
-        A[dst] = [x + k * y for x, y in zip(A[dst], A[src])]
-        U[dst] = [x + k * y for x, y in zip(U[dst], U[src])]
-
     def add_col(dst, src, k):
         for row in A:
             row[dst] += k * row[src]
         for row in V:
             row[dst] += k * row[src]
         Vinv[src] = [x - k * y for x, y in zip(Vinv[src], Vinv[dst])]
-
-    def negate_row(i):
-        A[i] = [-x for x in A[i]]
-        U[i] = [-x for x in U[i]]
 
     t = 0
     while t < min(m, n):
@@ -250,42 +242,34 @@ def smith_normal_form(M):
             break
         i, j = pivot
         if i != t:
-            swap_rows(i, t)
+            A[i], A[t] = A[t], A[i]
         if j != t:
             swap_cols(j, t)
         # clear row and column t; restart if a remainder shrinks the pivot
+        p, prow = A[t][t], A[t]
         dirty = False
         for i in range(t + 1, m):
             if A[i][t] != 0:
-                q = A[i][t] // A[t][t]
-                add_row(i, t, -q)
+                q = A[i][t] // p
+                A[i] = [x - q * y for x, y in zip(A[i], prow)]
                 if A[i][t] != 0:
                     dirty = True
         for j in range(t + 1, n):
-            if A[t][j] != 0:
-                q = A[t][j] // A[t][t]
-                add_col(j, t, -q)
-                if A[t][j] != 0:
+            if prow[j] != 0:
+                add_col(j, t, -(prow[j] // p))
+                if prow[j] != 0:
                     dirty = True
         if dirty:
             continue
-        # divisibility: fold any non-multiple into row t and retry
-        offender = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if A[i][j] % A[t][t] != 0:
-                    offender = i
-                    break
+        # divisibility: fold any non-multiple into row t and retry; a
+        # unit pivot divides everything
+        if abs(p) != 1:
+            offender = next((i for i in range(t + 1, m)
+                             if any(x % p for x in A[i][t + 1:])), None)
             if offender is not None:
-                break
-        if offender is not None:
-            add_row(t, offender, 1)
-            continue
-        if A[t][t] < 0:
-            negate_row(t)
+                A[t] = [x + y for x, y in zip(A[t], A[offender])]
+                continue
         t += 1
-    return U, A, V, Vinv
-
-
-def diagonal_of(D):
-    return [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0))]
+    # a finished row t is zero off its pivot, so the divisors are the
+    # pivots up to sign
+    return [abs(A[t][t]) for t in range(min(m, n))], V, Vinv

@@ -88,18 +88,12 @@ class Origami:
             perms.format_cycles(self.sigma_v))
 
 
-def build(sigma_h, sigma_v):
-    """Assemble an origami and report (origami, genus, stratum)."""
-    o = Origami(len(sigma_h), tuple(sigma_h), tuple(sigma_v))
-    return o, o.genus(), o.stratum()
-
-
 TORUS = Origami(1, (0,), (0,))
 
 # Genus-3 staircase of two horizontal 4-cylinders: squares 1-4 in the
 # bottom row, 5-8 in the top row, rows glued with a shift of two so
 # that every vertex collects two squares (four cone angles 4*pi).
-# Frozen after build() confirmed genus 3 and stratum (2, 2, 2, 2).
+# Genus 3 and stratum (2, 2, 2, 2) are pinned by the tests.
 WOLLMILCHSAU = Origami(
     8,
     perms.parse_cycles("(1 2 3 4)(5 6 7 8)"),

@@ -146,14 +146,14 @@ class QuadraticIrrational:
         raise AttributeError("immutable")
 
     @staticmethod
-    def _coerce(x, root):
+    def _coerce(x):
         if isinstance(x, QuadraticIrrational):
             return x
         f = Fraction(x)
         return QuadraticIrrational(f.numerator, 0, 0, f.denominator)
 
     def _pair(self, other):
-        other = self._coerce(other, self.root)
+        other = self._coerce(other)
         if self.root and other.root and self.root != other.root:
             raise DomainError("incompatible radicals %d and %d"
                               % (self.root, other.root))
@@ -424,8 +424,7 @@ def periodic_points(A, n):
         raise DomainError("A^%d has %d fixed points, more than the %d that "
                           "periodic_points lists" % (n, count,
                                                      MAX_PERIODIC_POINTS))
-    U, D, V, _ = smith_normal_form(B)
-    d1, d2 = D[0][0], D[1][1]
+    (d1, d2), V, _ = smith_normal_form(B)
     if d1 * d2 != count:
         raise InternalError("Smith divisors %d and %d of A^%d - I do not "
                             "multiply to |det| = %d" % (d1, d2, n, count))

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, InternalError
 from . import intlinalg as la
 from .sl2z import Anosov, Parabolic, Periodic, classify
 
@@ -97,7 +97,9 @@ def summary_from_matrix(A, torelli_k=None):
     if isinstance(c, Parabolic):
         return MonodromySummary(1, MonodromyClass.REDUCIBLE,
                                 torelli_k=torelli_k)
-    assert isinstance(c, Anosov)
+    if not isinstance(c, Anosov):
+        raise InternalError("%s is classified as %r, not periodic, "
+                            "parabolic or Anosov" % (A, c))
     return MonodromySummary(1, MonodromyClass.ANOSOV, stretch=c.stretch,
                             torelli_k=torelli_k)
 

@@ -250,14 +250,14 @@ def test_certificate_checks_survive_python_O():
 # decompose_st, which every lift goes through
 BROKEN_CERTIFICATES = [
     ("""
-        real = cli.hom.induced_action
-        cli.hom.induced_action = lambda w, o: dataclasses.replace(
+        real = homology.induced_action
+        homology.induced_action = lambda w, o: dataclasses.replace(
             real(w, o), torelli_order=5)
      """, ["pipeline", "frw", "--matrix", "2 1 1 1"],
      "internal error: torelli order 5 exceeds 2g - 2 = 4\n"),
     ("""
-        real = cli.hom.induced_action
-        cli.hom.induced_action = lambda w, o: dataclasses.replace(
+        real = homology.induced_action
+        homology.induced_action = lambda w, o: dataclasses.replace(
             real(w, o), fixed_in_displacement_kernel=False)
      """, ["pipeline", "frw", "--matrix", "2 1 1 1"],
      "internal error: a class fixed by the lift has nonzero displacement "
@@ -275,7 +275,7 @@ BROKEN_CERTIFICATES = [
                               "decompose_st_round_trip"])
 def test_pipeline_and_word_checks_survive_python_O(patch, argv, message):
     script = "import dataclasses, sys\nassert False\n" \
-        "from minfol import cli\n" + textwrap.dedent(patch) + \
+        "from minfol import cli, homology\n" + textwrap.dedent(patch) + \
         "sys.exit(cli.run(%r))\n" % (argv,)
     env = {k: v for k, v in os.environ.items()
            if not k.startswith(("MINFOL_", "PYTHONOPTIMIZE"))}
@@ -284,3 +284,76 @@ def test_pipeline_and_word_checks_survive_python_O(patch, argv, message):
                           capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr == message
+
+
+# stand-ins that break each certificate check of cover, torus3 and
+# holonomy; each case runs one command and puts the stand-in back
+BROKEN_LIBRARY_CHECKS = textwrap.dedent("""
+    import builtins, io, json
+    from contextlib import redirect_stderr, redirect_stdout
+    from minfol import cli, cover, holonomy, torus3
+
+    MISSING = object()
+
+    def broken(owner, name, stand_in, argv):
+        real = getattr(owner, name, MISSING)
+        setattr(owner, name, stand_in)
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                code = cli.run(argv)
+        finally:
+            if real is MISSING:
+                delattr(owner, name)
+            else:
+                setattr(owner, name, real)
+        print(json.dumps([code, out.getvalue(), err.getvalue()]))
+
+    broken(cover.CoverSpec, "chi", lambda self: 1,
+           ["cover", "double", "--n", "4"])
+    # admissibility off: a_i summing to 5 give an odd Euler characteristic
+    broken(cover, "_pillowcase_check", lambda d, a: None,
+           ["cover", "pillowcase", "--d", "2", "--a", "1,1,1,2"])
+    broken(cover, "riemann_hurwitz_chi", lambda base, profile: 2,
+           ["cover", "pillowcase", "--d", "2", "--a", "1,1,1,1"])
+    # a sum that counts entries: no fibre lowers chi
+    broken(cover, "sum", len,
+           ["cover", "growth", "--d", "6", "--per-point", "2,2", "--k", "2"])
+    # only the first fibre lowers chi
+    sums = iter([builtins.sum, len])
+    broken(cover, "sum", lambda xs: next(sums)(xs),
+           ["cover", "growth", "--d", "6", "--per-point", "2,2", "--k", "2"])
+    broken(torus3, "classify", lambda A: None,
+           ["torus3", "bundle", "--matrix", "2 1 1 1"])
+    # a tolerance so wide that x -> x + 1 and x -> x - 1 both fix x
+    broken(holonomy, "FIXED_POINT_TOL", 2.0,
+           ["holonomy", "stabilizer", "--gens", "aff:k=1,b=0;aff:k=0,b=1",
+            "--x", "-1", "--max-len", "2"])
+""")
+
+BROKEN_LIBRARY_MESSAGES = [
+    "the cover has odd Euler characteristic 1",
+    "the pillowcase cover (d = 2, a = [1, 1, 1, 2]) has odd Euler "
+    "characteristic 1",
+    "the torus profile of the pillowcase cover gives chi = 2, not 0",
+    "chi = 6 after 1 branch points exceeds d - 1 = 5",
+    "chi = 4 after 2 branch points does not drop below 4",
+    "(2 1; 1 1) is classified as None, not periodic, parabolic or Anosov",
+    "two distinct affine maps with equal linear part cannot fix the same "
+    "point",
+]
+
+
+def test_cover_torus3_and_holonomy_checks_survive_python_O():
+    # under -O every assert is stripped (the script's own assert False
+    # passes); each broken check still exits 3 with one stderr line
+    script = "assert False\n" + BROKEN_LIBRARY_CHECKS
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith(("MINFOL_", "PYTHONOPTIMIZE"))}
+    env["PYTHONPATH"] = str(pathlib.Path(minfol.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert [json.loads(line) for line in proc.stdout.splitlines()] == \
+        [[3, "", "internal error: %s\n" % m]
+         for m in BROKEN_LIBRARY_MESSAGES]

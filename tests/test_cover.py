@@ -223,6 +223,8 @@ def test_leaf_growth_rejects_bad_input():
         leaf_genus_growth(4, [(1, 2), (1, 2)], 3)   # pair count mismatch
     with pytest.raises(DomainError):
         leaf_genus_growth_fibres(4, [[2], [2]], 1)
+    with pytest.raises(DomainError, match="point 2: no ramification"):
+        leaf_genus_growth_fibres(4, [[2, 2], []], 2)
 
 
 def test_leaf_growth_names_a_bad_pair():

@@ -494,10 +494,9 @@ def test_refusals_and_count_checks_survive_python_O():
             print(refusal(induced_action, LiftWitness(cat, word, r),
                           WOLLMILCHSAU))
         I = [[1, 0], [0, 1]]
-        sl2z.smith_normal_form = lambda B: (I, I, I, I)
+        sl2z.smith_normal_form = lambda B: ([1, 1], I, I)
         print(refusal(sl2z.periodic_points, cat, 2))
-        sl2z.smith_normal_form = lambda B: (I, [[1, 0], [0, 5]],
-                                            [[0, 0], [0, 0]], I)
+        sl2z.smith_normal_form = lambda B: ([1, 5], [[0, 0], [0, 0]], I)
         print(refusal(sl2z.periodic_points, cat, 2))
         sl2z.classify = lambda A: sl2z.Anosov(None, None, None)
         print(refusal(sl2z.periodic_points, IntMatrix2(1, 1, 0, 1), 1))

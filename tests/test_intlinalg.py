@@ -127,25 +127,111 @@ def test_det_multiplicative():
             la.det_rational(A) * la.det_rational(B)
 
 
+def smith_with_transforms(M):
+    """Reference: the Smith form with both transforms, (U, D, V, Vinv)
+    with U*M*V = D, D the dense diagonal matrix and Vinv the inverse of
+    V.  It makes the same row and column operations as
+    `smith_normal_form` and also builds U and negates rows to make D
+    nonnegative."""
+    A = [list(row) for row in M]
+    m = len(A)
+    n = len(A[0]) if m else 0
+    U = la.identity_matrix(m)
+    V = la.identity_matrix(n)
+    Vinv = la.identity_matrix(n)
+
+    def swap_rows(i, j):
+        A[i], A[j] = A[j], A[i]
+        U[i], U[j] = U[j], U[i]
+
+    def swap_cols(i, j):
+        for row in A:
+            row[i], row[j] = row[j], row[i]
+        for row in V:
+            row[i], row[j] = row[j], row[i]
+        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
+
+    def add_row(dst, src, k):
+        A[dst] = [x + k * y for x, y in zip(A[dst], A[src])]
+        U[dst] = [x + k * y for x, y in zip(U[dst], U[src])]
+
+    def add_col(dst, src, k):
+        for row in A:
+            row[dst] += k * row[src]
+        for row in V:
+            row[dst] += k * row[src]
+        Vinv[src] = [x - k * y for x, y in zip(Vinv[src], Vinv[dst])]
+
+    def negate_row(i):
+        A[i] = [-x for x in A[i]]
+        U[i] = [-x for x in U[i]]
+
+    t = 0
+    while t < min(m, n):
+        pivot = la._min_pivot(A, t)
+        if pivot is None:
+            break
+        i, j = pivot
+        if i != t:
+            swap_rows(i, t)
+        if j != t:
+            swap_cols(j, t)
+        dirty = False
+        for i in range(t + 1, m):
+            if A[i][t] != 0:
+                q = A[i][t] // A[t][t]
+                add_row(i, t, -q)
+                if A[i][t] != 0:
+                    dirty = True
+        for j in range(t + 1, n):
+            if A[t][j] != 0:
+                q = A[t][j] // A[t][t]
+                add_col(j, t, -q)
+                if A[t][j] != 0:
+                    dirty = True
+        if dirty:
+            continue
+        offender = None
+        for i in range(t + 1, m):
+            for j in range(t + 1, n):
+                if A[i][j] % A[t][t] != 0:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            add_row(t, offender, 1)
+            continue
+        if A[t][t] < 0:
+            negate_row(t)
+        t += 1
+    return U, A, V, Vinv
+
+
+def diagonal(D):
+    return [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0))]
+
+
 def test_smith_normal_form_properties():
     rng = random.Random(11)
     for trial in range(200):
         m = rng.randrange(1, 6)
         n = rng.randrange(1, 6)
         A = random_matrix(rng, m, n)
-        U, D, V, Vinv = la.smith_normal_form(A)
+        divisors, V, Vinv = la.smith_normal_form(A)
+        U, D, V_ref, Vinv_ref = smith_with_transforms(A)
+        assert (divisors, V, Vinv) == (diagonal(D), V_ref, Vinv_ref)
         assert la.mat_eq(la.mat_mul(la.mat_mul(U, A), V), D)
         assert abs(la.det_rational(U)) == 1
         assert abs(la.det_rational(V)) == 1
         assert la.mat_eq(la.mat_mul(V, Vinv), la.identity_matrix(n))
         assert la.mat_eq(la.mat_mul(Vinv, V), la.identity_matrix(n))
-        diag = la.diagonal_of(D)
         # off-diagonal zero, nonnegative divisor chain
         for i in range(m):
             for j in range(n):
                 if i != j:
                     assert D[i][j] == 0
-        for a, b in zip(diag, diag[1:]):
+        for a, b in zip(divisors, divisors[1:]):
             assert a >= 0
             if a == 0:
                 assert b == 0
@@ -160,8 +246,8 @@ def test_mat_mul_refuses_mismatched_shapes():
 
 def test_smith_normal_form_fixed_example():
     # worked by hand: gcd of entries 2, |det| = 8, so divisors 2 and 4
-    U, D, V, Vinv = la.smith_normal_form([[2, 4], [6, 8]])
-    assert la.diagonal_of(D) == [2, 4]
+    divisors, V, Vinv = la.smith_normal_form([[2, 4], [6, 8]])
+    assert divisors == [2, 4]
 
 
 def test_rank_of_rational_entries():
@@ -238,7 +324,7 @@ def test_smith_form_matches_gcd_of_minors():
                                               for i in rows]))
             factors.append(dk // prev if prev else 0)
             prev = dk
-        assert la.diagonal_of(la.smith_normal_form(A)[1]) == factors
+        assert la.smith_normal_form(A)[0] == factors
 
 
 def _full_scan_pivot(A, t):
@@ -252,18 +338,34 @@ def _full_scan_pivot(A, t):
     return pivot
 
 
-def test_smith_pivot_scan_stopping_at_a_unit_gives_the_same_forms(
-        monkeypatch):
+def smith_test_matrices(squares):
+    """300 seeded random matrices, then the face boundaries of
+    `pillowcase_origami(n, (1, 1, 1, n - 3))` in non-tree coordinates,
+    every divisor 1, at the given numbers of squares 2n."""
     from minfol.homology import _chain_complex
     from minfol.origami import pillowcase_origami
 
     rng = random.Random(29)
     matrices = [random_matrix(rng, rng.randrange(1, 8), rng.randrange(1, 8),
                               -4, 5) for _ in range(300)]
-    # face boundaries in non-tree coordinates, every divisor 1
-    matrices += [_chain_complex(pillowcase_origami(n, (1, 1, 1, n - 3))).B
-                 for n in (32, 64, 128)]
+    return matrices + [
+        _chain_complex(pillowcase_origami(s // 2, (1, 1, 1, s // 2 - 3))).B
+        for s in squares]
+
+
+def test_smith_pivot_scan_stopping_at_a_unit_gives_the_same_forms(
+        monkeypatch):
+    matrices = smith_test_matrices((64, 128, 256))
     early = [la.smith_normal_form(A) for A in matrices]
     monkeypatch.setattr(la, "_min_pivot", _full_scan_pivot)
     for A, forms in zip(matrices, early):
         assert la.smith_normal_form(A) == forms
+
+
+def test_smith_normal_form_matches_the_full_transform_reference():
+    # the divisors, V and V^-1 are those of the reference that builds U
+    # and the dense D as well: dropping them changes no operation
+    for A in smith_test_matrices((8, 16, 32, 64, 128)):
+        U, D, V, Vinv = smith_with_transforms(A)
+        assert la.mat_eq(la.mat_mul(la.mat_mul(U, A), V), D)
+        assert la.smith_normal_form(A) == (diagonal(D), V, Vinv)

@@ -270,11 +270,11 @@ def test_periodic_points_certificate_checks(monkeypatch):
     # stand-ins for a broken Smith form and classifier make each count
     # check fail, as a defect in the library would
     I = [[1, 0], [0, 1]]
-    monkeypatch.setattr(sl2z, "smith_normal_form", lambda B: (I, I, I, I))
+    monkeypatch.setattr(sl2z, "smith_normal_form", lambda B: ([1, 1], I, I))
     with pytest.raises(InternalError, match="do not multiply to .* 5$"):
         periodic_points(CAT, 2)
     monkeypatch.setattr(sl2z, "smith_normal_form",
-                        lambda B: (I, [[1, 0], [0, 5]], [[0, 0], [0, 0]], I))
+                        lambda B: ([1, 5], [[0, 0], [0, 0]], I))
     with pytest.raises(InternalError, match="^1 distinct points"):
         periodic_points(CAT, 2)
     monkeypatch.setattr(sl2z, "classify",
