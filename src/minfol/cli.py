@@ -4,7 +4,7 @@ One process per invocation; the report goes to standard output as JSON
 (sorted keys, so identical invocations are byte-identical) or as
 flattened TSV rows with --tsv.  Diagnostics go to standard error.
 Exit codes: 0 success, 1 usage errors, 2 domain errors, 3 internal
-errors (a certificate check failed).
+errors (a certificate check failed, or any other exception).
 
 Environment: MINFOL_SEED supplies the default seed for seeded
 subcommands, overridden by --seed.  MINFOL_THREADS is only echoed into
@@ -478,6 +478,10 @@ def run(argv):
         return 2
     except InternalError as exc:
         sys.stderr.write("internal error: %s\n" % exc)
+        return 3
+    except Exception as exc:  # a defect that no check names
+        msg = " ".join(("%s: %s" % (type(exc).__name__, exc)).splitlines())
+        sys.stderr.write("internal error: %s\n" % msg)
         return 3
     sys.stdout.write(text)
     return 0

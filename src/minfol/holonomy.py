@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
-from .errors import DomainError, InternalError
+from .errors import DomainError
 
 FIXED_POINT_TOL = 1e-9
 IDENTITY_TOL = 1e-6
@@ -379,11 +379,12 @@ def stabilizer_search(gens, x, max_len):
 
     x is handled exactly (floats convert to their exact binary
     fraction); a word counts as a witness when |w(x) - x| < 1e-9, and
-    the residual of the worst accepted witness is reported.  Witness
-    composites with equal linear part must agree outright, since an
-    affine map fixing x is determined by its linear part; that check
-    raises InternalError.  Cyclic evidence means every witness is an
-    exact integer power of a shortest primitive witness.
+    the residual of the worst accepted witness is reported.  An affine
+    map fixing x exactly is determined by its linear part, so two
+    witnesses with equal linear part are distinct maps the tolerance
+    cannot tell apart, and the search refuses them with DomainError.
+    Cyclic evidence means every witness is an exact integer power of a
+    shortest primitive witness.
     """
     gens = list(gens)
     for g in gens:
@@ -428,12 +429,13 @@ def stabilizer_search(gens, x, max_len):
                 else:
                     e, f = (p - (p << -k)) * d + (n * q << -k), q * d << -k
                 if abs(e) * td < tn * f:
-                    for w in witnesses:
-                        if w.composite.k == comp.k and \
-                                w.composite.b != comp.b:
-                            raise InternalError(
-                                "two distinct affine maps with equal "
-                                "linear part cannot fix the same point")
+                    # a translation witness meets its inverse, of equal
+                    # length and residual, so no primitive has k = 0
+                    if any(w.composite.k == k for w in witnesses):
+                        raise DomainError(
+                            "two distinct affine maps with equal linear "
+                            "part fix x within the tolerance %r, which "
+                            "cannot tell them apart" % FIXED_POINT_TOL)
                     witnesses.append(new)
                     # int / int rounds correctly, as float(Fraction) does
                     residual = max(residual, abs(e) / f)

@@ -26,13 +26,12 @@ coordinates of a cycle in the basis are y . V[:, r:], an integer dot
 product, and `HomologyBasis.decompose` keeps those columns of V
 instead of solving.
 
-The action of a lift on H_1 is one walk of its witness word: the 2g
-basis cycles are pushed token by token through the edge map of each
-generator while `origami._step` moves the gluings along, then
-relabeled, and the walk ends by checking that the relabeled gluings
-are those of the origami it started from.  One kernel of M - I gives
-both the dimension of the fixed space and the fixed classes whose
-drift on the base torus is checked.
+The action of a lift on H_1 is one `origami._walk` of its witness
+word: `origami._push` carries the 2g basis cycles and `origami._step`
+the gluings through each token, and the walk ends with the check of
+`LiftWitness.verify`.  One kernel of M - I gives both the dimension of
+the fixed space and the fixed classes whose drift on the base torus is
+checked, against the form J that `homology_basis` already validated.
 
 The intersection form needs care.  Counting crossings of pushed-off
 edge cycles fails at cone points, where a translated cycle no longer
@@ -65,8 +64,7 @@ from operator import mul
 from .errors import DomainError, InternalError
 from . import intlinalg as la
 from . import permutations as perms
-from .origami import _step
-from .sl2z import GenToken
+from .origami import _walk, relabel
 
 
 @dataclass(frozen=True)
@@ -116,12 +114,8 @@ def _vertex_classes(o):
 
 def _edge_endpoints(o, cls):
     """Edge index -> (tail vertex, head vertex)."""
-    ends = []
-    for i in range(o.d):
-        ends.append((cls[i], cls[o.sigma_h[i]]))
-    for i in range(o.d):
-        ends.append((cls[i], cls[o.sigma_v[i]]))
-    return ends
+    return [(cls[i], cls[s[i]]) for s in (o.sigma_h, o.sigma_v)
+            for i in range(o.d)]
 
 
 def _face_boundary_vectors(o):
@@ -308,59 +302,20 @@ def homology_rank(o):
     return len(cx.nontree) - la.rank_rational(cx.B)
 
 
-def _push(token, sh, sv, x):
-    """Image of the edge vector x under one token, from the complex of
-    the origami with gluings (sh, sv) to the complex of its image
-    under the token (`origami._step`).
-
-    Derived from how the affine map carries edges: the shear T fixes
-    bottom edges and sends the left edge of square i to the diagonal,
-    homotopic to bottom edge then right edge.  S rotates a quarter
-    turn, -I half a turn; their images pick up signs and the
-    neighbor relabelings below.
-    """
-    d = len(sh)
-    h, v = x[:d], x[d:]
-    if token == GenToken.T:
-        # h_i -> h_i, v_i -> h_i + v_(right)
-        w = [0] * d
-        for i in range(d):
-            w[sh[i]] = v[i]
-        return [a + b for a, b in zip(h, v)] + w
-    if token == GenToken.T_INV:
-        # h_i -> h_i, v_i -> -h_(left) + v_(left)
-        w = [v[j] for j in sh]
-        return [a - b for a, b in zip(h, w)] + w
-    if token == GenToken.S:
-        # h_i -> v_(below), v_i -> -h_i
-        return [-b for b in v] + [h[j] for j in sv]
-    if token == GenToken.NEG_I:
-        # h_i -> -h_(below), v_i -> -v_(left)
-        return [-h[j] for j in sv] + [-v[j] for j in sh]
-    raise DomainError("unknown token %r" % (token,))
-
-
 def _push_word(witness, o, xs):
     """Images of the edge vectors xs under the witness word followed by
     its relabeling: the chain map of the lift, an automorphism of the
     complex of o.
 
-    The gluings are stepped beside the vectors, and the walk ends with
-    the check of `LiftWitness.verify`: the relabeled gluings must be
-    those of o, or DomainError is raised.
+    One `origami._walk` steps the gluings beside the vectors, and the
+    walk ends with the check of `LiftWitness.verify`: the relabeled
+    image must be o, or DomainError is raised.
     """
-    sh, sv = o.sigma_h, o.sigma_v
-    for token in reversed(witness.word):
-        xs = [_push(token, sh, sv, x) for x in xs]
-        sh, sv = _step(token, sh, sv)
-    d, r = o.d, witness.relabeling
-    if not perms.is_perm(r, d):
-        raise DomainError("relabeling is not a permutation of the squares")
-    if (perms.conjugate(sh, r) != o.sigma_h
-            or perms.conjugate(sv, r) != o.sigma_v):
+    image, xs = _walk(witness.word, o, xs)
+    if relabel(image, witness.relabeling) != o:
         raise DomainError("witness does not carry the origami to itself")
     # square i is renamed r(i), so entry j of an image is entry r^-1(j)
-    ri = perms.inverse(r)
+    d, ri = o.d, perms.inverse(witness.relabeling)
     return [[x[j] for j in ri] + [x[d + j] for j in ri] for x in xs]
 
 
@@ -421,25 +376,22 @@ def torelli_order(M, J):
     raised.  `induced_action` reads the same kernel, so M - I is
     eliminated once per action.
     """
-    fixed, sympl = _fixed_space(M, J)
-    return len(fixed), len(fixed) + 1, sympl
-
-
-def _fixed_space(M, J):
-    """(kernel basis of M - I, whether M^T J M = J), after checking
-    that J is a unimodular antisymmetric form of the size of M."""
     n = len(M)
     if any(len(row) != n for row in M):
         raise DomainError("matrix must be square")
     if len(J) != n or any(len(row) != n for row in J):
         raise DomainError("form must match the matrix size")
-    for i in range(n):
-        for j in range(n):
-            if J[i][j] != -J[j][i]:
-                raise DomainError("form must be antisymmetric")
+    if not _antisymmetric(J):
+        raise DomainError("form must be antisymmetric")
     if n and abs(la.det_rational(J)) != 1:
         raise DomainError("form must be unimodular")
-    MI = [[M[i][j] - (1 if i == j else 0) for j in range(n)]
-          for i in range(n)]
+    fixed, sympl = _fixed_space(M, J)
+    return len(fixed), len(fixed) + 1, sympl
+
+
+def _fixed_space(M, J):
+    """(kernel basis of M - I, whether M^T J M = J) for a square M and
+    a form J of its size; the callers have checked both."""
+    MI = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(M)]
     sympl = la.mat_eq(la.mat_mul(la.transpose(M), la.mat_mul(J, M)), J)
     return la.kernel_rational(MI), sympl

@@ -10,10 +10,12 @@ its cycles are the vertices of the glued surface, and a cycle of
 length l is a cone point of angle 2*pi*l.  With d squares, 2d edges
 and d faces this gives genus = 1 + (d - V)/2 for V cycles.
 
-The group generated by S and T acts on origamis; the formulas below
-are validated by the invariance of genus and stratum and by the
-induced action on the homology of the one-square torus, where the
-tokens must reproduce their own matrices.
+The group generated by S and T acts on origamis, and this module is
+the one home of that token geometry: `_step` moves the gluings and
+`_push` the edge vectors of the square complex, and `_walk` runs a
+word through both.  The formulas are validated by the invariance of
+genus and stratum and by the induced action on the homology of the
+one-square torus, where the tokens must reproduce their own matrices.
 """
 
 from dataclasses import dataclass
@@ -125,6 +127,50 @@ def _step(token, sh, sv):
     raise DomainError("unknown token %r" % (token,))
 
 
+def _push(token, sh, sv, x):
+    """Image of the edge vector x (h_i at index i, v_i at d + i) under
+    one token, from the complex of the origami with gluings (sh, sv) to
+    the complex of its image under `_step`.
+
+    Derived from how the affine map carries edges: the shear T fixes
+    bottom edges and sends the left edge of square i to the diagonal,
+    homotopic to bottom edge then right edge.  S rotates a quarter
+    turn, -I half a turn; their images pick up signs and the
+    neighbor relabelings below.
+    """
+    d = len(sh)
+    h, v = x[:d], x[d:]
+    if token == GenToken.T:
+        # h_i -> h_i, v_i -> h_i + v_(right)
+        w = [0] * d
+        for i in range(d):
+            w[sh[i]] = v[i]
+        return [a + b for a, b in zip(h, v)] + w
+    if token == GenToken.T_INV:
+        # h_i -> h_i, v_i -> -h_(left) + v_(left)
+        w = [v[j] for j in sh]
+        return [a - b for a, b in zip(h, w)] + w
+    if token == GenToken.S:
+        # h_i -> v_(below), v_i -> -h_i
+        return [-b for b in v] + [h[j] for j in sv]
+    if token == GenToken.NEG_I:
+        # h_i -> -h_(below), v_i -> -v_(left)
+        return [-h[j] for j in sv] + [-v[j] for j in sh]
+    raise DomainError("unknown token %r" % (token,))
+
+
+def _walk(word, o, xs=()):
+    """(o moved by the word, images of the edge vectors xs), rightmost
+    token first; vectors are pushed only when some are given, and the
+    one Origami is built, and validated, at the end."""
+    sh, sv = o.sigma_h, o.sigma_v
+    for token in reversed(list(word)):
+        if xs:
+            xs = [_push(token, sh, sv, x) for x in xs]
+        sh, sv = _step(token, sh, sv)
+    return Origami(o.d, sh, sv), xs
+
+
 def sl2z_act(token, o):
     """Action of one generator token on an origami.
 
@@ -136,15 +182,8 @@ def sl2z_act(token, o):
 
 
 def act_word(word, o):
-    """Left action of a word: the rightmost token acts first.
-
-    The tokens act on the gluings alone, and the one Origami built at
-    the end is validated as every Origami is.
-    """
-    sh, sv = o.sigma_h, o.sigma_v
-    for token in reversed(list(word)):
-        sh, sv = _step(token, sh, sv)
-    return Origami(o.d, sh, sv)
+    """Left action of a word: the rightmost token acts first."""
+    return _walk(word, o)[0]
 
 
 def relabel(o, r):
@@ -234,8 +273,9 @@ def lift_automorphism(A, o):
 
     Decomposes A into generator tokens, pushes the origami through the
     word, and looks for a relabeling returning the original gluings.
-    Returns a verified LiftWitness, or None when the orbit moved (no
-    lift exists through this construction).
+    Returns a LiftWitness, checked as `LiftWitness.verify` checks it but
+    on the image already in hand, or None when the orbit moved (no lift
+    exists through this construction).
 
     A relabeling conjugates both gluings, so an image whose gluings
     differ from those of o in cycle type is rejected before either
@@ -252,10 +292,9 @@ def lift_automorphism(A, o):
     if canon_o != canon_img:
         return None
     r = perms.compose(perms.inverse(r_o), r_img)
-    witness = LiftWitness(matrix=A, word=word, relabeling=r)
-    if not witness.verify(o):
+    if relabel(image, r) != o:
         raise InternalError("lift witness for %s fails to verify" % (o,))
-    return witness
+    return LiftWitness(matrix=A, word=word, relabeling=r)
 
 
 def pillowcase_origami(d, a):

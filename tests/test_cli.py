@@ -325,7 +325,8 @@ BROKEN_LIBRARY_CHECKS = textwrap.dedent("""
            ["cover", "growth", "--d", "6", "--per-point", "2,2", "--k", "2"])
     broken(torus3, "classify", lambda A: None,
            ["torus3", "bundle", "--matrix", "2 1 1 1"])
-    # a tolerance so wide that x -> x + 1 and x -> x - 1 both fix x
+    # a tolerance so wide that x -> x + 1 and x -> x - 1 both fix x:
+    # the search refuses it as a domain error
     broken(holonomy, "FIXED_POINT_TOL", 2.0,
            ["holonomy", "stabilizer", "--gens", "aff:k=1,b=0;aff:k=0,b=1",
             "--x", "-1", "--max-len", "2"])
@@ -339,9 +340,10 @@ BROKEN_LIBRARY_MESSAGES = [
     "chi = 6 after 1 branch points exceeds d - 1 = 5",
     "chi = 4 after 2 branch points does not drop below 4",
     "(2 1; 1 1) is classified as None, not periodic, parabolic or Anosov",
-    "two distinct affine maps with equal linear part cannot fix the same "
-    "point",
 ]
+TOLERANCE_REFUSAL = "domain error: two distinct affine maps with equal " \
+    "linear part fix x within the tolerance %r, which cannot tell them " \
+    "apart\n"
 
 
 def test_cover_torus3_and_holonomy_checks_survive_python_O():
@@ -356,4 +358,68 @@ def test_cover_torus3_and_holonomy_checks_survive_python_O():
     assert (proc.returncode, proc.stderr) == (0, "")
     assert [json.loads(line) for line in proc.stdout.splitlines()] == \
         [[3, "", "internal error: %s\n" % m]
-         for m in BROKEN_LIBRARY_MESSAGES]
+         for m in BROKEN_LIBRARY_MESSAGES] + [[2, "", TOLERANCE_REFUSAL % 2.0]]
+
+
+@pytest.mark.parametrize("gens,max_len", [
+    ("aff:k=0,b=1/1000000000000", "2"),
+    ("aff:k=0,b=1/1000000000000", "1"),
+    ("aff:k=1,b=0;aff:k=0,b=1/1000000000000", "2"),
+], ids=["translation_len2", "translation_len1", "doubling_and_translation"])
+def test_stabilizer_refuses_witnesses_the_tolerance_cannot_separate(
+        capsys, gens, max_len):
+    # x -> x + 1e-12 and its inverse both fix 0 within 1e-9, but two
+    # maps with equal linear part cannot both fix a point exactly
+    code, out, err = invoke(capsys, "holonomy", "stabilizer", "--gens", gens,
+                            "--x", "0", "--max-len", max_len)
+    assert (code, out) == (2, "")
+    assert err == TOLERANCE_REFUSAL % 1e-9
+
+
+def dividing_by_zero(args, inputs):
+    return {"value": 1 / 0}
+
+
+def raising_two_lines(args, inputs):
+    raise RuntimeError("first line\nsecond line")
+
+
+@pytest.mark.parametrize("handler,message", [
+    (dividing_by_zero, "ZeroDivisionError: division by zero"),
+    (raising_two_lines, "RuntimeError: first line second line"),
+], ids=["zero_division", "multiline_message"])
+def test_any_other_exception_is_one_internal_error_line(capsys, monkeypatch,
+                                                         handler, message):
+    rows = [row[:3] + (handler,) if row[0] == "classify" else row
+            for row in cli.COMMANDS]
+    monkeypatch.setattr(cli, "COMMANDS", rows)
+    code, out, err = invoke(capsys, "classify", "--matrix", "2 1 1 1")
+    assert (code, out, err) == (3, "", "internal error: %s\n" % message)
+    # SystemExit still passes through, so --help exits 0
+    with pytest.raises(SystemExit) as exc:
+        run(["--help"])
+    assert exc.value.code == 0
+
+
+def test_any_other_exception_is_one_line_under_python_O():
+    script = textwrap.dedent("""
+        import sys
+        assert False
+        from minfol import cli
+
+        def dividing_by_zero(args, inputs):
+            return {"value": 1 / 0}
+
+        cli.COMMANDS = [row[:3] + (dividing_by_zero,)
+                        if row[0] == "classify" else row
+                        for row in cli.COMMANDS]
+        sys.exit(cli.run(["classify", "--matrix", "2 1 1 1"]))
+    """)
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith(("MINFOL_", "PYTHONOPTIMIZE"))}
+    env["PYTHONPATH"] = str(pathlib.Path(minfol.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "internal error: ZeroDivisionError: division by " \
+                          "zero\n"

@@ -426,6 +426,21 @@ def test_cat_action_on_wollmilchsau():
     assert act.fixed_in_displacement_kernel
 
 
+def test_induced_action_checks_the_form_once(monkeypatch):
+    # homology_basis checks det J = 1; the action does not check it again
+    w = lift_automorphism(CAT, WOLLMILCHSAU)
+    calls = []
+
+    def counting_det(M):
+        calls.append(len(M))
+        return real_det(M)
+
+    real_det = la.det_rational
+    monkeypatch.setattr(la, "det_rational", counting_det)
+    assert induced_action(w, WOLLMILCHSAU).symplectic
+    assert calls == [6]
+
+
 def test_induced_action_rejects_stale_witness():
     w = lift_automorphism(CAT, WOLLMILCHSAU)
     other = relabel(WOLLMILCHSAU, perms.parse_cycles("(1 2)", 8))

@@ -119,11 +119,23 @@ def test_holonomy_orbit_loads_no_surface_layer():
     assert not loaded & {"minfol.homology", "minfol.origami"}
 
 
-def test_no_assert_statements_in_the_library():
-    # python -O strips asserts, so a certificate check must be a raise
-    found = []
+def library_nodes():
     for path in sorted(pathlib.Path(minfol.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Assert):
-                found.append("%s:%d" % (path.name, node.lineno))
+            yield path.name, node
+
+
+def test_no_assert_statements_in_the_library():
+    # python -O strips asserts, so a certificate check must be a raise
+    found = ["%s:%d" % (name, node.lineno) for name, node in library_nodes()
+             if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_token_geometry_lives_in_sl2z_and_origami():
+    # the tokens are defined in sl2z, and only origami says what each
+    # does to gluings and edge vectors; a string naming them is no name
+    found = {name for name, node in library_nodes()
+             if "GenToken" in (getattr(node, field, None)
+                               for field in ("id", "attr", "name", "asname"))}
+    assert found == {"sl2z.py", "origami.py"}

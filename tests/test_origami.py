@@ -244,9 +244,27 @@ def test_cycle_type_rejection_is_exact():
 
 
 def test_lift_refuses_a_witness_that_fails_to_verify(monkeypatch):
-    monkeypatch.setattr(origami.LiftWitness, "verify", lambda self, o: False)
+    # the check of LiftWitness.verify, run on the image already in hand:
+    # a relabeling that does not give o back must not be returned
+    monkeypatch.setattr(origami, "relabel", lambda o, r: TORUS)
     with pytest.raises(InternalError, match="fails to verify"):
         lift_automorphism(CAT, WOLLMILCHSAU)
+
+
+def test_lift_walks_its_word_once(monkeypatch):
+    calls = []
+
+    def counting_step(token, sh, sv):
+        calls.append(token)
+        return real_step(token, sh, sv)
+
+    real_step = origami._step
+    monkeypatch.setattr(origami, "_step", counting_step)
+    for A in (CAT, CAT ** 2, CAT ** 3):
+        calls.clear()
+        w = lift_automorphism(A, WOLLMILCHSAU)
+        assert w is not None
+        assert calls == list(reversed(w.word))
 
 
 def test_genus_refuses_an_odd_euler_characteristic(monkeypatch):
