@@ -276,6 +276,7 @@ def cmd_holonomy_commutator(args, inputs):
 
 def cmd_pipeline_frw(args, inputs):
     from . import cover as cover_mod, homology as hom, origami as ori
+    cover_mod._check_branch_points(args.k)
     A = sl2z.IntMatrix2.from_string(args.matrix)
     c = sl2z.classify(A)
     if not isinstance(c, sl2z.Anosov):

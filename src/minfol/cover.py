@@ -255,6 +255,19 @@ class GrowthCertificate:
                 "chi_sequence": list(self.chi_sequence)}
 
 
+# leaf_genus_growth certifies at most this many branch points: its chi
+# sequence holds one entry per point
+MAX_BRANCH_POINTS = 10 ** 5
+
+
+def _check_branch_points(k):
+    """Refuse k above MAX_BRANCH_POINTS, before any work starts."""
+    if k > MAX_BRANCH_POINTS:
+        raise DomainError("%d branch points is more than the %d that "
+                          "leaf_genus_growth certifies"
+                          % (k, MAX_BRANCH_POINTS))
+
+
 def leaf_genus_growth(d, per_point, k):
     """Euler characteristic certificate for iterated branched covers of
     disks.
@@ -264,8 +277,9 @@ def leaf_genus_growth(d, per_point, k):
     index e_i.  per_point is a list of (d_i, e_i) pairs, either one per
     point or a single pair reused for every point.  Returns the bound
     chi <= d - k together with the full chi sequence, which decreases
-    strictly.
+    strictly.  k above MAX_BRANCH_POINTS is refused.
     """
+    _check_branch_points(k)
     per_point = list(per_point)
     if per_point and isinstance(per_point[0], int):
         per_point = [tuple(per_point)]
@@ -293,6 +307,7 @@ def leaf_genus_growth(d, per_point, k):
 def leaf_genus_growth_fibres(d, fibres, k):
     """General form of leaf_genus_growth: each branch point carries a
     list of ramification indices >= 2 (unramified sheets implied)."""
+    _check_branch_points(k)
     if k < 1:
         raise DomainError("need at least one branch point")
     if d < 1:

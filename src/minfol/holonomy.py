@@ -269,18 +269,27 @@ class OrbitStats:
         }
 
 
+# orbit_density keeps every visited point, about 32 bytes each, so it
+# runs at most this many steps
+MAX_ORBIT_STEPS = 10 ** 7
+
+
 def orbit_density(gens, start, n, epsilon, seed):
     """Gap statistics of a random-word orbit segment on the circle.
 
     Applies n generators chosen by the seeded congruential protocol to
     the start point and reports the largest circular gap left by the
     visited points.  Deterministic for a fixed (gens, start, n, seed).
+    n above MAX_ORBIT_STEPS is refused before any step is taken.
     """
     gens = list(gens)
     if not gens:
         raise DomainError("no generators given")
     if n < 1:
         raise DomainError("need at least one step")
+    if n > MAX_ORBIT_STEPS:
+        raise DomainError("%d steps is more than the %d that orbit_density "
+                          "runs" % (n, MAX_ORBIT_STEPS))
     if not 0 < epsilon < 1:
         raise DomainError("epsilon must lie strictly between 0 and 1")
     if not math.isfinite(start):
@@ -361,6 +370,12 @@ class StabilizerReport:
         return out
 
 
+# the ball searched by stabilizer_search grows exponentially in the word
+# length (about 1.75-fold per letter for BS(1,2), 8.3 s at length 11),
+# so longer words are refused
+MAX_WORD_LENGTH = 16
+
+
 def stabilizer_search(gens, x, max_len):
     """The affine maps within max_len letters that fix x, each named by
     the first word that reaches it, with evidence that the stabilizer
@@ -384,7 +399,8 @@ def stabilizer_search(gens, x, max_len):
     witnesses with equal linear part are distinct maps the tolerance
     cannot tell apart, and the search refuses them with DomainError.
     Cyclic evidence means every witness is an exact integer power of a
-    shortest primitive witness.
+    shortest primitive witness.  max_len above MAX_WORD_LENGTH is
+    refused before the search starts.
     """
     gens = list(gens)
     for g in gens:
@@ -392,6 +408,10 @@ def stabilizer_search(gens, x, max_len):
             raise DomainError("stabilizer search runs in the affine model")
     if max_len < 1:
         raise DomainError("need positive word length")
+    if max_len > MAX_WORD_LENGTH:
+        raise DomainError("word length %d is more than the %d that "
+                          "stabilizer_search explores"
+                          % (max_len, MAX_WORD_LENGTH))
     x = Fraction(x)
     p, q = x.numerator, x.denominator
     # the test |w(x) - x| < tol runs in integers: with w(x) = 2^k x + n/d

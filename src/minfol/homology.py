@@ -27,11 +27,13 @@ product, and `HomologyBasis.decompose` keeps those columns of V
 instead of solving.
 
 The action of a lift on H_1 is one `origami._walk` of its witness
-word: `origami._push` carries the 2g basis cycles and `origami._step`
-the gluings through each token, and the walk ends with the check of
-`LiftWitness.verify`.  One kernel of M - I gives both the dimension of
-the fixed space and the fixed classes whose drift on the base torus is
-checked, against the form J that `homology_basis` already validated.
+word: it carries the 2g basis cycles and the gluings through each run
+of shears at once and through each other token singly, and it ends
+with the check of `LiftWitness.verify`.  One kernel of M - I gives both
+the dimension of the fixed space and the fixed classes whose drift on
+the base torus is checked.  The action is symplectic when M Q M^T = Q
+for the cocycle pairing Q, which is the same as M^T J M = J, so the
+action never builds J.
 
 The intersection form needs care.  Counting crossings of pushed-off
 edge cycles fails at cone points, where a translated cycle no longer
@@ -50,15 +52,20 @@ the Smith form already holds the one dual to the basis cycles: the last
 on the tree edges.  They are cocycles, since B V = U^-1 D has zero
 columns past r, so each vanishes on every face boundary.  A basis
 cycle's non-tree coordinates are its row of V^-1, so V^-1 V = 1 makes E
-the identity and J = -Q^-1, taken from the integer adjugate of Q with
-one exact division by det Q.  Q itself is one dot product per pair of
+the identity and J = -Q^-1.  Q itself is one dot product per pair of
 cocycles, against the second one pre-permuted by the gluings.
+`homology_basis` checks that Q is antisymmetric with determinant 1,
+one forward elimination; then J = -Q^-1 is integral, antisymmetric and
+of determinant 1 as well.  J is built on first read of
+`HomologyBasis.intersection`, from the integer adjugate of Q with one
+exact division by det Q, and checked again there.
 Everything is integer or Fraction arithmetic; no floating point enters
 this module.
 """
 
 from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import mul
 
 from .errors import DomainError, InternalError
@@ -71,7 +78,6 @@ from .origami import _walk, relabel
 class HomologyBasis:
     rank: int
     cycles: tuple        # rank integer vectors of length 2d
-    intersection: tuple  # rank x rank integer matrix J
     face_boundaries: tuple
     # what decompose reads coordinates from: the (tail, head) vertices
     # of each edge, the non-tree edges, and the last rank columns of the
@@ -79,6 +85,28 @@ class HomologyBasis:
     _ends: tuple = field(compare=False, repr=False)
     _nontree: tuple = field(compare=False, repr=False)
     _coords: tuple = field(compare=False, repr=False)
+    # the pairing Q of the cocycles dual to the cycles; J = -Q^-1
+    _pairing: tuple = field(compare=False, repr=False)
+
+    @cached_property
+    def intersection(self):
+        """The rank x rank intersection form J = -Q^-1 of the cycles,
+        built on first read; the cycles and the complex fix it, so it is
+        not a field and equality does not compare it."""
+        # J = -adj(Q) / det(Q), and J is integral, so the division is
+        # exact
+        adj, det = la._adjugate(self._pairing)
+        J = []
+        for row in adj:
+            if any(x % det for x in row):
+                raise InternalError("the intersection form is not integral")
+            J.append(tuple(-(x // det) for x in row))
+        if not _antisymmetric(J):
+            raise InternalError("the intersection form is not antisymmetric")
+        if self.rank and la.det_rational(J) != 1:
+            raise InternalError("the intersection form has determinant %s, "
+                                "not 1" % la.det_rational(J))
+        return tuple(J)
 
     def decompose(self, x):
         """Coordinates of the cycle x in this basis, modulo boundaries."""
@@ -191,8 +219,8 @@ def homology_basis(o):
     """Integer basis of H_1 with its intersection form.
 
     Returns HomologyBasis with rank = 2 * genus; the basis vectors are
-    primitive integer edge vectors, and the intersection matrix is
-    antisymmetric with determinant one.
+    primitive integer edge vectors, and the intersection matrix, built
+    on first read, is antisymmetric with determinant one.
     """
     d = o.d
     (ends, nverts, parent_edge, parent_sign, nontree, boundaries,
@@ -260,25 +288,19 @@ def homology_basis(o):
     Q = [[sum(map(mul, a, pb)) for pb in paired] for a in coords]
     if not _antisymmetric(Q):
         raise InternalError("the cocycle pairing is not antisymmetric")
-    # J = -Q^-1 = -adj(Q) / det(Q), and J is integral, so the division
-    # is exact
-    adj, det = la._adjugate(Q)
-    J = []
-    for row in adj:
-        if any(x % det for x in row):
-            raise InternalError("the intersection form is not integral")
-        J.append([-(x // det) for x in row])
-    if not _antisymmetric(J):
-        raise InternalError("the intersection form is not antisymmetric")
-    if rank and la.det_rational(J) != 1:
-        raise InternalError("the intersection form has determinant %s, "
-                            "not 1" % la.det_rational(J))
+    # an antisymmetric integer Q of determinant 1 has an integral,
+    # antisymmetric inverse of determinant 1, so J = -Q^-1 is a
+    # unimodular form without being built
+    det = la.det_rational(Q)
+    if det != 1:
+        raise InternalError("the cocycle pairing has determinant %s, not 1"
+                            % det)
     return HomologyBasis(rank=rank, cycles=tuple(tuple(z) for z in basis),
-                         intersection=tuple(tuple(row) for row in J),
                          face_boundaries=tuple(tuple(b) for b in boundaries),
                          _ends=tuple(ends),
                          _nontree=tuple(nontree),
-                         _coords=tuple(tuple(col) for col in coords))
+                         _coords=tuple(tuple(col) for col in coords),
+                         _pairing=tuple(tuple(row) for row in Q))
 
 
 def _antisymmetric(M):
@@ -342,7 +364,8 @@ def induced_action(witness, o):
     """Action of a lift witness on H_1(o), as an integer matrix in the
     computed basis; DomainError unless the witness carries o to itself.
 
-    The matrix preserves the intersection form exactly.  Also reports
+    The matrix preserves the intersection form exactly, checked as
+    M Q M^T = Q on the cocycle pairing, so J is not built.  Also reports
     the dimension k of its rational fixed subspace (the mapping-torus
     first Betti number is k + 1) and whether every fixed class has
     zero displacement on the base torus, which is what suspension flow
@@ -350,9 +373,12 @@ def induced_action(witness, o):
     """
     basis = homology_basis(o)
     images = _push_word(witness, o, basis.cycles)
-    M = la.transpose([basis.decompose(y) for y in images])
+    Mt = [basis.decompose(y) for y in images]
+    M = la.transpose(Mt)
 
-    fixed, sympl = _fixed_space(M, basis.intersection)
+    fixed = _fixed_space(M)
+    # with J = -Q^-1, M^T J M = J exactly when M Q M^T = Q
+    sympl = _preserves(Mt, basis._pairing)
     # displacement is linear: a fixed class drifts by its coefficients
     # against the drifts of the basis cycles
     drifts = la.transpose([displacement(o, z) for z in basis.cycles])
@@ -385,13 +411,18 @@ def torelli_order(M, J):
         raise DomainError("form must be antisymmetric")
     if n and abs(la.det_rational(J)) != 1:
         raise DomainError("form must be unimodular")
-    fixed, sympl = _fixed_space(M, J)
-    return len(fixed), len(fixed) + 1, sympl
+    fixed = _fixed_space(M)
+    return len(fixed), len(fixed) + 1, _preserves(M, J)
 
 
-def _fixed_space(M, J):
-    """(kernel basis of M - I, whether M^T J M = J) for a square M and
-    a form J of its size; the callers have checked both."""
+def _fixed_space(M):
+    """Kernel basis of M - I for a square M."""
     MI = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(M)]
-    sympl = la.mat_eq(la.mat_mul(la.transpose(M), la.mat_mul(J, M)), J)
-    return la.kernel_rational(MI), sympl
+    return la.kernel_rational(MI)
+
+
+def _preserves(M, F):
+    """Whether M^T F M = F, for square M and F of one size; the callers
+    have checked both.  `torelli_order` passes M and J, `induced_action`
+    M^T and Q."""
+    return la.mat_eq(la.mat_mul(la.transpose(M), la.mat_mul(F, M)), F)

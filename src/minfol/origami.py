@@ -11,15 +11,20 @@ length l is a cone point of angle 2*pi*l.  With d squares, 2d edges
 and d faces this gives genus = 1 + (d - V)/2 for V cycles.
 
 The group generated by S and T acts on origamis, and this module is
-the one home of that token geometry: `_step` moves the gluings and
-`_push` the edge vectors of the square complex, and `_walk` runs a
-word through both.  The formulas are validated by the invariance of
-genus and stratum and by the induced action on the homology of the
-one-square torus, where the tokens must reproduce their own matrices.
+the one home of that token geometry: `_walk` runs a word through the
+gluings and the edge vectors of the square complex.  It takes each run
+T^m or T^-m of the word in one step, `_shear_run`: T fixes sigma_h, so
+a run moves sigma_v to sigma_v . sigma_h^-m and each vector by one
+windowed sum along the cycles of sigma_h, in O(d) for any m.  S and -I
+go token by token, `_step` moving the gluings and `_push` the vectors.
+The formulas are validated by the invariance of genus and stratum and
+by the induced action on the homology of the one-square torus, where
+the tokens must reproduce their own matrices.
 """
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import accumulate
 
 from .errors import DomainError, InternalError
 from . import permutations as perms
@@ -129,27 +134,16 @@ def _step(token, sh, sv):
 
 def _push(token, sh, sv, x):
     """Image of the edge vector x (h_i at index i, v_i at d + i) under
-    one token, from the complex of the origami with gluings (sh, sv) to
-    the complex of its image under `_step`.
+    the token S or -I, from the complex of the origami with gluings
+    (sh, sv) to the complex of its image under `_step`; the shears go
+    through `_shear_run`.
 
-    Derived from how the affine map carries edges: the shear T fixes
-    bottom edges and sends the left edge of square i to the diagonal,
-    homotopic to bottom edge then right edge.  S rotates a quarter
-    turn, -I half a turn; their images pick up signs and the
-    neighbor relabelings below.
+    Derived from how the affine map carries edges: S rotates a quarter
+    turn, -I half a turn; their images pick up signs and the neighbor
+    relabelings below.
     """
     d = len(sh)
     h, v = x[:d], x[d:]
-    if token == GenToken.T:
-        # h_i -> h_i, v_i -> h_i + v_(right)
-        w = [0] * d
-        for i in range(d):
-            w[sh[i]] = v[i]
-        return [a + b for a, b in zip(h, v)] + w
-    if token == GenToken.T_INV:
-        # h_i -> h_i, v_i -> -h_(left) + v_(left)
-        w = [v[j] for j in sh]
-        return [a - b for a, b in zip(h, w)] + w
     if token == GenToken.S:
         # h_i -> v_(below), v_i -> -h_i
         return [-b for b in v] + [h[j] for j in sv]
@@ -159,15 +153,89 @@ def _push(token, sh, sv, x):
     raise DomainError("unknown token %r" % (token,))
 
 
+def _shear_run(token, m, sh, sv, xs):
+    """(sigma_v, images of the edge vectors xs) after the run token^m
+    of T or T^-1 on the gluings (sh, sv), in one step; equal to m
+    rounds of `_step` and of the push of one shear.
+
+    The shear T fixes bottom edges and sends the left edge of square i
+    to the diagonal, homotopic to bottom edge then right edge: h_i ->
+    h_i and v_i -> h_i + v_(right of i); T^-1 sends v_i to
+    -h_(left of i) + v_(left of i).  T fixes sigma_h, so along a cycle
+    c of sigma_h, T^m carries v at c_k to c_(k+m), and h at c_k gains
+    the window v(c_k) + v(c_(k-1)) + ... + v(c_(k-m+1)); T^-m carries
+    v at c_(k+m) to c_k, and h at c_k loses v(c_(k+1)) + ... +
+    v(c_(k+m)).  Each window is a difference of prefix sums over the
+    cycle written twice, plus floor(m / len(c)) laps of the cycle
+    total.
+    """
+    back = token == GenToken.T    # T^m reads v from m squares back
+    # v at square x comes from src[x]: src = sigma_h^-m for T^m and
+    # sigma_h^m for T^-m, by squaring along the bits of m
+    src = step = perms.inverse(sh) if back else sh
+    for bit in bin(m)[3:]:
+        src = perms.compose(src, src)
+        if bit == "1":
+            src = perms.compose(src, step)
+    sv = perms.compose(sv, src)
+    if not xs:
+        return sv, xs
+    d = len(sh)
+    cycles = perms.cycles(sh, include_fixed=True)
+    # the window of square c_k is (lo, hi] in prefix sums over the
+    # cycles written twice, one after another; laps are whole turns
+    order, lo, hi, laps = [], [0] * d, [0] * d, []
+    for c in cycles:
+        n, base = len(c), len(order)
+        order += c + c
+        q, r = divmod(m, n)
+        for k, x in enumerate(c):
+            hi[x] = base + k + n + 1 if back else base + k + 1 + r
+            lo[x] = hi[x] - r
+        if q:
+            laps.append((c, q, base))
+    out = []
+    for x in xs:
+        h, v = x[:d], x[d:]
+        P = list(accumulate([v[y] for y in order], initial=0))
+        win = [P[b] - P[a] for a, b in zip(lo, hi)]
+        for c, q, base in laps:
+            t = q * (P[base + len(c)] - P[base])
+            for y in c:
+                win[y] += t
+        if back:
+            h = [a + b for a, b in zip(h, win)]
+        else:
+            h = [a - b for a, b in zip(h, win)]
+        out.append(h + [v[y] for y in src])
+    return sv, out
+
+
+_SHEARS = (GenToken.T, GenToken.T_INV)
+
+
 def _walk(word, o, xs=()):
     """(o moved by the word, images of the edge vectors xs), rightmost
-    token first; vectors are pushed only when some are given, and the
-    one Origami is built, and validated, at the end."""
+    token first; each run of T or T^-1 is one `_shear_run`, S and -I
+    one `_step` each.  Vectors are pushed only when some are given, and
+    the one Origami is built, and validated, at the end."""
     sh, sv = o.sigma_h, o.sigma_v
+    run, m = None, 0              # the pending run: run^m
     for token in reversed(list(word)):
+        if token is run:
+            m += 1
+            continue
+        if m:
+            sv, xs = _shear_run(run, m, sh, sv, xs)
+            run, m = None, 0
+        if token in _SHEARS:
+            run, m = token, 1
+            continue
         if xs:
             xs = [_push(token, sh, sv, x) for x in xs]
         sh, sv = _step(token, sh, sv)
+    if m:
+        sv, xs = _shear_run(run, m, sh, sv, xs)
     return Origami(o.d, sh, sv), xs
 
 

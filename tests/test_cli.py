@@ -215,13 +215,13 @@ def test_report_writer_refuses_non_finite_numbers(capsys, monkeypatch, tsv):
 
 def test_failed_certificate_check_exits_3_with_one_line(capsys, monkeypatch):
     # a stand-in determinant makes the unimodularity check of the
-    # intersection form fail, as a defect in the library would
+    # cocycle pairing fail, as a defect in the library would
     monkeypatch.setattr(hom.la, "det_rational", lambda M: 2)
     with pytest.raises(InternalError, match="determinant 2, not 1"):
         hom.homology_basis(ori.TORUS)
     code, out, err = invoke(capsys, "homology", "basis", "--name", "torus")
     assert (code, out) == (3, "")
-    assert err == "internal error: the intersection form has determinant " \
+    assert err == "internal error: the cocycle pairing has determinant " \
                   "2, not 1\n"
 
 
@@ -241,7 +241,7 @@ def test_certificate_checks_survive_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout) == (3, "")
-    assert proc.stderr == "internal error: the intersection form has " \
+    assert proc.stderr == "internal error: the cocycle pairing has " \
                           "determinant 2, not 1\n"
 
 
@@ -374,6 +374,34 @@ def test_stabilizer_refuses_witnesses_the_tolerance_cannot_separate(
                             "--x", "0", "--max-len", max_len)
     assert (code, out) == (2, "")
     assert err == TOLERANCE_REFUSAL % 1e-9
+
+
+@pytest.mark.parametrize("constant,limit,argv,message", [
+    ("holonomy.MAX_ORBIT_STEPS", 100,
+     ["holonomy", "orbit", "--gens", "rot:0.1", "--steps", "101",
+      "--eps", "0.5"],
+     "101 steps is more than the 100 that orbit_density runs"),
+    ("holonomy.MAX_WORD_LENGTH", 3,
+     ["holonomy", "stabilizer", "--gens", "aff:k=1,b=0", "--x", "1",
+      "--max-len", "4"],
+     "word length 4 is more than the 3 that stabilizer_search explores"),
+    ("cover.MAX_BRANCH_POINTS", 10,
+     ["cover", "growth", "--d", "2", "--per-point", "1,2", "--k", "11"],
+     "11 branch points is more than the 10 that leaf_genus_growth "
+     "certifies"),
+    ("cover.MAX_BRANCH_POINTS", 10,
+     ["pipeline", "frw", "--matrix", "2 1 1 1", "--k", "11"],
+     "11 branch points is more than the 10 that leaf_genus_growth "
+     "certifies"),
+], ids=["orbit_steps", "stabilizer_max_len", "growth_k", "pipeline_k"])
+def test_work_above_its_limit_exits_2_with_one_line(
+        capsys, monkeypatch, constant, limit, argv, message):
+    # the limits are lowered here, so no test runs a huge input
+    module, name = constant.split(".")
+    monkeypatch.setattr(getattr(minfol, module), name, limit)
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "domain error: %s\n" % message
 
 
 def dividing_by_zero(args, inputs):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from minfol import cover
 from minfol.errors import DomainError
 from minfol.cover import (BranchPoint, RamificationProfile,
                           riemann_hurwitz_chi, CoverSpec, build_double_cover,
@@ -265,3 +266,16 @@ def test_leaf_growth_fuzz_certificate_facts():
         assert len(cert.chi_sequence) == k
         for j, chi in enumerate(cert.chi_sequence, start=1):
             assert chi <= d - j
+
+
+def test_leaf_growth_refuses_more_branch_points_than_the_limit(monkeypatch):
+    assert cover.MAX_BRANCH_POINTS >= 60          # the cli mix
+    monkeypatch.setattr(cover, "MAX_BRANCH_POINTS", 5)
+    assert len(leaf_genus_growth(8, (1, 2), 5).chi_sequence) == 5
+    # refused before the pairs are read or counted against k
+    for per_point in ((1, 2), [(1, 2)] * 2, [(1,)]):
+        with pytest.raises(DomainError,
+                           match="^6 branch points is more than the 5 "):
+            leaf_genus_growth(8, per_point, 6)
+    with pytest.raises(DomainError, match="^6 branch points is more than"):
+        leaf_genus_growth_fibres(8, [[2]] * 6, 6)

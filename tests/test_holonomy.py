@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from minfol import holonomy
 from minfol.errors import DomainError
 from minfol.holonomy import (Rotation, Doubling, Mobius, AffineLine,
                              parse_generator, orbit_density,
@@ -153,6 +154,17 @@ def test_orbit_density_validation():
             orbit_density([Doubling()], start, 100, 0.1, 0)
 
 
+def test_orbit_density_refuses_more_steps_than_the_limit(monkeypatch):
+    assert holonomy.MAX_ORBIT_STEPS >= 10 ** 6    # the ROADMAP row
+    monkeypatch.setattr(holonomy, "MAX_ORBIT_STEPS", 50)
+    assert orbit_density([Rotation(0.25)], 0.0, 50, 0.5, 0).n_steps == 50
+    # refused before the generators are even turned into steps
+    monkeypatch.setattr(holonomy, "_circle_step", None)
+    with pytest.raises(DomainError,
+                       match="^51 steps is more than the 50 that "):
+        orbit_density([Rotation(0.25)], 0.0, 51, 0.5, 0)
+
+
 # ------------------------------------------------------------- stabilizer
 
 
@@ -259,6 +271,18 @@ def test_stabilizer_search_explores_distinct_maps_only(monkeypatch):
     assert calls[0] <= 15000
     assert rep.structure == "cyclic"
     assert rep.primitive.composite == AffineLine(1, Fraction(1))
+
+
+def test_stabilizer_refuses_longer_words_than_the_limit(monkeypatch):
+    assert holonomy.MAX_WORD_LENGTH >= 11         # the ROADMAP row
+    gens = [AffineLine(1, Fraction(0)), AffineLine(0, Fraction(1))]
+    monkeypatch.setattr(holonomy, "MAX_WORD_LENGTH", 3)
+    assert stabilizer_search(gens, Fraction(-1), 3).structure == "cyclic"
+    # refused before the first word is composed
+    monkeypatch.setattr(holonomy.AffineLine, "compose", None)
+    with pytest.raises(DomainError,
+                       match="^word length 4 is more than the 3 that "):
+        stabilizer_search(gens, Fraction(-1), 4)
 
 
 def test_stabilizer_rejects_non_affine():

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 import minfol
-from minfol.errors import DomainError
+from minfol.errors import DomainError, InternalError
 from minfol import intlinalg as la
 from minfol import permutations as perms
 from minfol.homology import (homology_basis, homology_rank, displacement,
@@ -427,18 +427,51 @@ def test_cat_action_on_wollmilchsau():
 
 
 def test_induced_action_checks_the_form_once(monkeypatch):
-    # homology_basis checks det J = 1; the action does not check it again
+    # homology_basis checks det Q = 1 with one forward pass, and the
+    # action neither checks it again nor builds J
     w = lift_automorphism(CAT, WOLLMILCHSAU)
-    calls = []
+    calls = count_calls(monkeypatch, la, ["det_rational", "_adjugate"])
+    act = induced_action(w, WOLLMILCHSAU)
+    assert act.symplectic
+    assert len(calls["det_rational"]) == 1 and calls["_adjugate"] == []
+    assert calls["det_rational"][0][0] == mat_of(act.basis._pairing)
+    assert "intersection" not in vars(act.basis)
 
-    def counting_det(M):
-        calls.append(len(M))
-        return real_det(M)
 
-    real_det = la.det_rational
-    monkeypatch.setattr(la, "det_rational", counting_det)
-    assert induced_action(w, WOLLMILCHSAU).symplectic
-    assert calls == [6]
+def test_intersection_form_is_built_on_first_read():
+    # J = -Q^-1, as homology_basis built it eagerly before: from the
+    # adjugate of Q, with Q J = -I
+    for o in form_test_origamis()[::8]:
+        basis = homology_basis(o)
+        assert "intersection" not in vars(basis)
+        Q = mat_of(basis._pairing)
+        adj, det = la._adjugate(Q)
+        eager = tuple(tuple(-(x // det) for x in row) for row in adj)
+        assert basis.intersection == eager, o
+        assert basis.intersection is basis.intersection
+        minus_one = [[-x for x in row] for row in la.identity_matrix(len(Q))]
+        assert la.mat_mul(Q, mat_of(basis.intersection)) == minus_one, o
+        # reading J changes neither equality nor the report
+        fresh = homology_basis(o)
+        assert fresh == basis and repr(fresh) == repr(basis)
+        assert fresh.to_json() == basis.to_json()
+
+
+def test_the_lazy_form_keeps_its_checks(monkeypatch):
+    # stand-ins break one check of J each, after the basis is built
+    fail_det, fail_sign, fail_div = [homology_basis(WOLLMILCHSAU)
+                                     for _ in range(3)]
+    monkeypatch.setattr(la, "det_rational", lambda M: 2)
+    with pytest.raises(InternalError, match="intersection form has "
+                                            "determinant 2, not 1"):
+        fail_det.intersection
+    monkeypatch.setattr(la, "_adjugate", lambda Q: ([[1] * len(Q)] * len(Q),
+                                                    1))
+    with pytest.raises(InternalError, match="is not antisymmetric"):
+        fail_sign.intersection
+    monkeypatch.setattr(la, "_adjugate", lambda Q: (Q, 2))
+    with pytest.raises(InternalError, match="is not integral"):
+        fail_div.intersection
 
 
 def test_induced_action_rejects_stale_witness():
@@ -673,7 +706,10 @@ def random_unimodular(rng, n, steps=12):
 
 
 def test_symplectic_check_agrees_with_the_matrix_product():
-    from minfol.homology import _fixed_space
+    # M^T J M = J, as torelli_order checks it, and M Q M^T = Q for the
+    # pairing Q = -J^-1, as induced_action checks it, agree with the
+    # product written out
+    from minfol.homology import _preserves
 
     rng = random.Random(61)
     seen = set()
@@ -695,6 +731,12 @@ def test_symplectic_check_agrees_with_the_matrix_product():
             M[rng.randrange(n)][rng.randrange(n)] += rng.choice((-1, 1))
         expected = la.mat_eq(
             la.mat_mul(la.mat_mul(la.transpose(M), J), M), J)
-        assert _fixed_space(M, J)[1] == expected
+        adj, det = la._adjugate(J)
+        assert det == 1
+        Q = [[-x for x in row] for row in adj]
+        assert la.mat_mul(Q, J) == [[-x for x in row]
+                                    for row in la.identity_matrix(n)]
+        assert _preserves(M, J) == expected
+        assert _preserves(la.transpose(M), Q) == expected
         seen.add(expected)
     assert seen == {True, False}

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -252,19 +253,34 @@ def test_lift_refuses_a_witness_that_fails_to_verify(monkeypatch):
 
 
 def test_lift_walks_its_word_once(monkeypatch):
-    calls = []
+    # one walk per lift, and each token of the word is covered once,
+    # either by a step of its own or inside a run of shears
+    walks, covered = [], []
+
+    def counting_walk(word, o, xs=()):
+        walks.append(tuple(word))
+        return real_walk(word, o, xs)
 
     def counting_step(token, sh, sv):
-        calls.append(token)
+        covered.append(token)
         return real_step(token, sh, sv)
 
-    real_step = origami._step
+    def counting_run(token, m, sh, sv, xs):
+        covered.extend([token] * m)
+        return real_run(token, m, sh, sv, xs)
+
+    real_walk, real_step = origami._walk, origami._step
+    real_run = origami._shear_run
+    monkeypatch.setattr(origami, "_walk", counting_walk)
     monkeypatch.setattr(origami, "_step", counting_step)
+    monkeypatch.setattr(origami, "_shear_run", counting_run)
     for A in (CAT, CAT ** 2, CAT ** 3):
-        calls.clear()
+        walks.clear()
+        covered.clear()
         w = lift_automorphism(A, WOLLMILCHSAU)
         assert w is not None
-        assert calls == list(reversed(w.word))
+        assert walks == [w.word]
+        assert covered == list(reversed(w.word))
 
 
 def test_genus_refuses_an_odd_euler_characteristic(monkeypatch):
@@ -402,3 +418,119 @@ def test_corner_walk_is_the_commutator():
             sv, perms.compose(perms.inverse(sh), perms.inverse(sv))))
         assert o.vertex_permutation() == c
         assert list(o.vertex_cycles()) == perms.cycles(c, include_fixed=True)
+
+
+# ------------------------------------------------------------ shear runs
+#
+# The walk takes each run of T or T^-1 in one step.  The oracle below
+# is the token-by-token walk it replaced: one gluing step and one push
+# per token, spelled out here so that it stays fixed.
+
+S, T, T_INV, NEG_I = GenToken.S, GenToken.T, GenToken.T_INV, GenToken.NEG_I
+
+
+def _token_step(token, sh, sv):
+    if token == T:
+        return sh, perms.compose(sv, perms.inverse(sh))
+    if token == T_INV:
+        return sh, perms.compose(sv, sh)
+    if token == S:
+        return perms.inverse(sv), sh
+    return perms.inverse(sh), perms.inverse(sv)
+
+
+def _token_push(token, sh, sv, x):
+    d = len(sh)
+    h, v = list(x[:d]), list(x[d:])
+    if token == T:
+        w = [0] * d
+        for i in range(d):
+            w[sh[i]] = v[i]
+        return [a + b for a, b in zip(h, v)] + w
+    if token == T_INV:
+        w = [v[j] for j in sh]
+        return [a - b for a, b in zip(h, w)] + w
+    if token == S:
+        return [-b for b in v] + [h[j] for j in sv]
+    return [-h[j] for j in sv] + [-v[j] for j in sh]
+
+
+def _token_walk(word, o, xs):
+    sh, sv = o.sigma_h, o.sigma_v
+    for token in reversed(list(word)):
+        xs = [_token_push(token, sh, sv, x) for x in xs]
+        sh, sv = _token_step(token, sh, sv)
+    return (sh, sv), xs
+
+
+def _assert_walk_matches_the_oracle(word, o, xs):
+    image, pushed = origami._walk(word, o, xs)
+    assert ((image.sigma_h, image.sigma_v), pushed) == \
+        _token_walk(word, o, xs), (o, word)
+    assert act_word(word, o) == image
+
+
+def _perm_of_small_order(rng, d):
+    """A permutation of d points with cycles of length at most 5, so of
+    order at most 60, as the bench's surfaces have."""
+    points = list(range(d))
+    rng.shuffle(points)
+    p = [0] * d
+    while points:
+        n = min(rng.randint(1, 5), len(points))
+        cyc, points = points[:n], points[n:]
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            p[a] = b
+    return tuple(p)
+
+
+def _order(p):
+    return math.lcm(*perms.cycle_lengths(p))
+
+
+def test_runs_match_the_token_walk_on_surfaces_words():
+    # the surfaces words [[1 + pq, p], [q, 1]] = -I T^p S T^-q S, with
+    # p and q the orders of the gluings, on 8 to 128 squares
+    rng = random.Random(71)
+    for d in (8, 8, 16, 16, 24, 32, 64, 128):
+        while True:
+            sh = _perm_of_small_order(rng, d)
+            sv = _perm_of_small_order(rng, d)
+            if perms.is_transitive([sh, sv], d):
+                break
+        o = Origami(d, sh, sv)
+        p, q = _order(sh), _order(sv)
+        word = decompose_st(IntMatrix2(1 + p * q, p, q, 1))
+        assert [t for t, _ in itertools.groupby(word)] == \
+            [NEG_I, T, S, T_INV, S]
+        xs = [[rng.randint(-3, 3) for _ in range(2 * d)] for _ in range(4)]
+        _assert_walk_matches_the_oracle(word, o, xs)
+
+
+def test_runs_match_the_token_walk_on_census_cat_lifts():
+    word = decompose_st(CAT)
+    lifts = 0
+    for o in _census():
+        if lift_automorphism(CAT, o) is None:
+            continue
+        lifts += 1
+        units = [[int(i == j) for j in range(2 * o.d)]
+                 for i in range(2 * o.d)]
+        _assert_walk_matches_the_oracle(word, o, units)
+    assert lifts == 271
+
+
+def test_runs_shorter_equal_longer_and_multiples_of_a_cycle():
+    # sigma_h has cycles of lengths 5, 3 and 1, so m = 1..15 covers
+    # m < L, m = L, m > L and m a multiple of L for each of them
+    rng = random.Random(73)
+    sh = perms.parse_cycles("(1 2 3 4 5)(6 7 8)", 9)
+    sv = perms.parse_cycles("(1 6 9)(2 7)", 9)
+    o = Origami(9, sh, sv)
+    xs = [[rng.randint(-4, 4) for _ in range(18)] for _ in range(3)]
+    for token in (T, T_INV):
+        for m in range(1, 16):
+            _assert_walk_matches_the_oracle([token] * m, o, xs)
+            _assert_walk_matches_the_oracle([S, *[token] * m, NEG_I], o, xs)
+    # a run of T next to a run of T^-1 is two runs
+    _assert_walk_matches_the_oracle([T] * 4 + [T_INV] * 7, o, xs)
