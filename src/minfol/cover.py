@@ -155,8 +155,9 @@ def build_double_cover(n):
     meridian and parallel act trivially.  The induced monodromy of the
     first loop is forced to (1 2) by the relation, which is why the
     number of branch points must be even.  The covering surface has
-    genus n/2 + 1.
+    genus n/2 + 1.  n above MAX_BRANCH_POINTS is refused.
     """
+    _check_branch_points(n, "build_double_cover builds")
     if n < 2:
         raise DomainError("need at least two branch points")
     if n % 2 != 0:
@@ -260,12 +261,12 @@ class GrowthCertificate:
 MAX_BRANCH_POINTS = 10 ** 5
 
 
-def _check_branch_points(k):
-    """Refuse k above MAX_BRANCH_POINTS, before any work starts."""
+def _check_branch_points(k, what="leaf_genus_growth certifies"):
+    """Refuse k above MAX_BRANCH_POINTS, before any work starts; `what`
+    ends the message with the function and what it does."""
     if k > MAX_BRANCH_POINTS:
-        raise DomainError("%d branch points is more than the %d that "
-                          "leaf_genus_growth certifies"
-                          % (k, MAX_BRANCH_POINTS))
+        raise DomainError("%d branch points is more than the %d that %s"
+                          % (k, MAX_BRANCH_POINTS, what))
 
 
 def leaf_genus_growth(d, per_point, k):

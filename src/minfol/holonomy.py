@@ -148,8 +148,7 @@ class AffineLine:
         return scale, shift
 
     def circle_apply(self, x):
-        scale, shift = self._circle_parts()
-        return (scale * x + shift) % 1.0
+        return _circle_step(self)(x)
 
     def compose(self, other):
         # 2^k b' + b over the denominator d' d (d' shifted when k < 0),
@@ -231,9 +230,9 @@ def _circle_step(gen):
     """x -> gen(x) on R/Z as one plain function, built once per orbit
     or lift rather than dispatched on the generator type at every step.
 
-    Affine and Mobius steps hold their coefficients as locals; they do
-    the same float operations, in the same order, as circle_apply and
-    Mobius.apply.  Other generators step through their own apply.
+    Affine and Mobius steps hold their coefficients as locals, and
+    AffineLine.circle_apply and Mobius.apply are one call of them.
+    Other generators step through their own apply.
     """
     if isinstance(gen, AffineLine):
         scale, shift = gen._circle_parts()

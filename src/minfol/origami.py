@@ -16,7 +16,7 @@ gluings and the edge vectors of the square complex.  It takes each run
 T^m or T^-m of the word in one step, `_shear_run`: T fixes sigma_h, so
 a run moves sigma_v to sigma_v . sigma_h^-m and each vector by one
 windowed sum along the cycles of sigma_h, in O(d) for any m.  S and -I
-go token by token, `_step` moving the gluings and `_push` the vectors.
+go token by token, `_turn` moving the gluings and the vectors together.
 The formulas are validated by the invariance of genus and stratum and
 by the induced action on the homology of the one-square torus, where
 the tokens must reproduce their own matrices.
@@ -118,56 +118,44 @@ def named_origami(name):
                           % (name, ", ".join(sorted(_NAMED))))
 
 
-def _step(token, sh, sv):
-    """Gluings (sigma_h, sigma_v) after one generator token; see
-    sl2z_act."""
-    if token == GenToken.T:
-        return sh, perms.compose(sv, perms.inverse(sh))
-    if token == GenToken.T_INV:
-        return sh, perms.compose(sv, sh)
-    if token == GenToken.S:
-        return perms.inverse(sv), sh
-    if token == GenToken.NEG_I:
-        return perms.inverse(sh), perms.inverse(sv)
-    raise DomainError("unknown token %r" % (token,))
+def _turn(token, sh, sv, xs):
+    """(sigma_h, sigma_v, images of the edge vectors xs) after one S or
+    -I on the gluings (sh, sv); the shears go through `_shear_run`.
 
-
-def _push(token, sh, sv, x):
-    """Image of the edge vector x (h_i at index i, v_i at d + i) under
-    the token S or -I, from the complex of the origami with gluings
-    (sh, sv) to the complex of its image under `_step`; the shears go
-    through `_shear_run`.
-
-    Derived from how the affine map carries edges: S rotates a quarter
-    turn, -I half a turn; their images pick up signs and the neighbor
-    relabelings below.
+    S rotates a quarter turn: what was below comes to lie to the right,
+    h_i -> v_(below) and v_i -> -h_i.  -I rotates half a turn,
+    inverting both gluings: h_i -> -h_(below) and v_i -> -v_(left).
+    An edge vector holds h_i at index i and v_i at d + i.
     """
-    d = len(sh)
-    h, v = x[:d], x[d:]
     if token == GenToken.S:
-        # h_i -> v_(below), v_i -> -h_i
-        return [-b for b in v] + [h[j] for j in sv]
+        if xs:
+            d = len(sh)
+            xs = [[-b for b in x[d:]] + [x[j] for j in sv] for x in xs]
+        return perms.inverse(sv), sh, xs
     if token == GenToken.NEG_I:
-        # h_i -> -h_(below), v_i -> -v_(left)
-        return [-h[j] for j in sv] + [-v[j] for j in sh]
+        if xs:
+            d = len(sh)
+            xs = [[-x[j] for j in sv] + [-x[d + j] for j in sh] for x in xs]
+        return perms.inverse(sh), perms.inverse(sv), xs
     raise DomainError("unknown token %r" % (token,))
 
 
 def _shear_run(token, m, sh, sv, xs):
     """(sigma_v, images of the edge vectors xs) after the run token^m
     of T or T^-1 on the gluings (sh, sv), in one step; equal to m
-    rounds of `_step` and of the push of one shear.
+    single shears.
 
-    The shear T fixes bottom edges and sends the left edge of square i
-    to the diagonal, homotopic to bottom edge then right edge: h_i ->
-    h_i and v_i -> h_i + v_(right of i); T^-1 sends v_i to
-    -h_(left of i) + v_(left of i).  T fixes sigma_h, so along a cycle
-    c of sigma_h, T^m carries v at c_k to c_(k+m), and h at c_k gains
-    the window v(c_k) + v(c_(k-1)) + ... + v(c_(k-m+1)); T^-m carries
-    v at c_(k+m) to c_k, and h at c_k loses v(c_(k+1)) + ... +
-    v(c_(k+m)).  Each window is a difference of prefix sums over the
-    cycle written twice, plus floor(m / len(c)) laps of the cycle
-    total.
+    T shears each square rightward, so sigma_v becomes
+    sigma_v . sigma_h^-1, and T^-1 makes it sigma_v . sigma_h.  T fixes
+    bottom edges and sends the left edge of square i to the diagonal,
+    homotopic to bottom edge then right edge: h_i -> h_i and v_i -> h_i
+    + v_(right of i); T^-1 sends v_i to -h_(left of i) + v_(left of i).
+    T fixes sigma_h, so along a cycle c of sigma_h, T^m carries v at
+    c_k to c_(k+m), and h at c_k gains the window v(c_k) + v(c_(k-1))
+    + ... + v(c_(k-m+1)); T^-m carries v at c_(k+m) to c_k, and h at
+    c_k loses v(c_(k+1)) + ... + v(c_(k+m)).  Each window is a
+    difference of prefix sums over the cycle written twice, plus
+    floor(m / len(c)) laps of the cycle total.
     """
     back = token == GenToken.T    # T^m reads v from m squares back
     # v at square x comes from src[x]: src = sigma_h^-m for T^m and
@@ -217,7 +205,7 @@ _SHEARS = (GenToken.T, GenToken.T_INV)
 def _walk(word, o, xs=()):
     """(o moved by the word, images of the edge vectors xs), rightmost
     token first; each run of T or T^-1 is one `_shear_run`, S and -I
-    one `_step` each.  Vectors are pushed only when some are given, and
+    one `_turn` each.  Vectors are pushed only when some are given, and
     the one Origami is built, and validated, at the end."""
     sh, sv = o.sigma_h, o.sigma_v
     run, m = None, 0              # the pending run: run^m
@@ -231,22 +219,16 @@ def _walk(word, o, xs=()):
         if token in _SHEARS:
             run, m = token, 1
             continue
-        if xs:
-            xs = [_push(token, sh, sv, x) for x in xs]
-        sh, sv = _step(token, sh, sv)
+        sh, sv, xs = _turn(token, sh, sv, xs)
     if m:
         sv, xs = _shear_run(run, m, sh, sv, xs)
     return Origami(o.d, sh, sv), xs
 
 
 def sl2z_act(token, o):
-    """Action of one generator token on an origami.
-
-    T shears each square rightward: sigma_v becomes sigma_v . sigma_h^-1.
-    S rotates a quarter turn: what was below comes to lie to the right.
-    -I rotates each square half a turn, inverting both gluings.
-    """
-    return Origami(o.d, *_step(token, o.sigma_h, o.sigma_v))
+    """Action of one generator token on an origami: a walk of the
+    one-token word; see `_turn` and `_shear_run`."""
+    return _walk((token,), o)[0]
 
 
 def act_word(word, o):

@@ -481,7 +481,10 @@ def decompose_st(A):
     result multiplies back to A on the nose and is deterministic.
     """
     _check_sl2z(A)
-    ops = []  # left multiplications applied to A, in order
+    # A = +-word * M throughout: undoing T^-q appends T^q, and undoing
+    # S appends S = -S^-1, the central -I collected in the sign
+    sign = 1
+    word = []
     M = A
     while M.c != 0:
         if M.c > 0:
@@ -490,21 +493,11 @@ def decompose_st(A):
             q = -(M.a // -M.c)
         if q != 0:
             M = (T_MAT ** (-q)) * M
-            ops.append(("T", -q))
+            word.extend([GenToken.T if q > 0 else GenToken.T_INV] * abs(q))
         M = S_MAT * M
-        ops.append(("S", 0))
+        word.append(GenToken.S)
+        sign = -sign
     # M is now (+-1, b; 0, +-1)
-    sign = 1
-    word = []
-    for kind, k in ops:
-        if kind == "T":
-            # inverse of T^k is T^-k
-            tok = GenToken.T if -k > 0 else GenToken.T_INV
-            word.extend([tok] * abs(k))
-        else:
-            # inverse of S is -I * S; -I is central, collect the sign
-            word.append(GenToken.S)
-            sign = -sign
     if M.a == 1:
         shift = M.b
     else:

@@ -393,7 +393,11 @@ def test_stabilizer_refuses_witnesses_the_tolerance_cannot_separate(
      ["pipeline", "frw", "--matrix", "2 1 1 1", "--k", "11"],
      "11 branch points is more than the 10 that leaf_genus_growth "
      "certifies"),
-], ids=["orbit_steps", "stabilizer_max_len", "growth_k", "pipeline_k"])
+    ("cover.MAX_BRANCH_POINTS", 10,
+     ["cover", "double", "--n", "12"],
+     "12 branch points is more than the 10 that build_double_cover builds"),
+], ids=["orbit_steps", "stabilizer_max_len", "growth_k", "pipeline_k",
+        "double_n"])
 def test_work_above_its_limit_exits_2_with_one_line(
         capsys, monkeypatch, constant, limit, argv, message):
     # the limits are lowered here, so no test runs a huge input

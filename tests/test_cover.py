@@ -279,3 +279,13 @@ def test_leaf_growth_refuses_more_branch_points_than_the_limit(monkeypatch):
             leaf_genus_growth(8, per_point, 6)
     with pytest.raises(DomainError, match="^6 branch points is more than"):
         leaf_genus_growth_fibres(8, [[2]] * 6, 6)
+
+
+def test_double_cover_refuses_more_branch_points_than_the_limit(monkeypatch):
+    monkeypatch.setattr(cover, "MAX_BRANCH_POINTS", 6)
+    assert build_double_cover(6).genus() == 4
+    # refused before the parity check, as before any monodromy is built
+    for n in (7, 8):
+        with pytest.raises(DomainError, match="^%d branch points is more "
+                           "than the 6 that build_double_cover builds$" % n):
+            build_double_cover(n)

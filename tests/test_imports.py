@@ -132,10 +132,24 @@ def test_no_assert_statements_in_the_library():
     assert found == []
 
 
+def names_gen_token(node):
+    return "GenToken" in (getattr(node, field, None)
+                          for field in ("id", "attr", "name", "asname"))
+
+
 def test_token_geometry_lives_in_sl2z_and_origami():
     # the tokens are defined in sl2z, and only origami says what each
     # does to gluings and edge vectors; a string naming them is no name
-    found = {name for name, node in library_nodes()
-             if "GenToken" in (getattr(node, field, None)
-                               for field in ("id", "attr", "name", "asname"))}
+    found = {name for name, node in library_nodes() if names_gen_token(node)}
     assert found == {"sl2z.py", "origami.py"}
+    # inside origami, one function per kind of token: the turns S and -I,
+    # the runs of shears, and the table of the shear tokens
+    path = pathlib.Path(minfol.__file__).parent / "origami.py"
+    owners = set()
+    for top in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(top, ast.ImportFrom):
+            continue
+        if any(names_gen_token(node) for node in ast.walk(top)):
+            owners.add(top.name if hasattr(top, "name")
+                       else ast.unparse(top.targets[0]))
+    assert owners == {"_turn", "_shear_run", "_SHEARS"}

@@ -254,25 +254,25 @@ def test_lift_refuses_a_witness_that_fails_to_verify(monkeypatch):
 
 def test_lift_walks_its_word_once(monkeypatch):
     # one walk per lift, and each token of the word is covered once,
-    # either by a step of its own or inside a run of shears
+    # either by a turn of its own or inside a run of shears
     walks, covered = [], []
 
     def counting_walk(word, o, xs=()):
         walks.append(tuple(word))
         return real_walk(word, o, xs)
 
-    def counting_step(token, sh, sv):
+    def counting_turn(token, sh, sv, xs):
         covered.append(token)
-        return real_step(token, sh, sv)
+        return real_turn(token, sh, sv, xs)
 
     def counting_run(token, m, sh, sv, xs):
         covered.extend([token] * m)
         return real_run(token, m, sh, sv, xs)
 
-    real_walk, real_step = origami._walk, origami._step
+    real_walk, real_turn = origami._walk, origami._turn
     real_run = origami._shear_run
     monkeypatch.setattr(origami, "_walk", counting_walk)
-    monkeypatch.setattr(origami, "_step", counting_step)
+    monkeypatch.setattr(origami, "_turn", counting_turn)
     monkeypatch.setattr(origami, "_shear_run", counting_run)
     for A in (CAT, CAT ** 2, CAT ** 3):
         walks.clear()
@@ -345,10 +345,16 @@ def _count_calls(monkeypatch, owner, name):
 
 
 def test_act_word_is_the_fold_of_sl2z_act():
+    # sl2z_act and act_word share one walk, so each token is also held
+    # against the spelled-out gluing step of the shear-run oracle below
     rng = random.Random(67)
     toks = list(GenToken)
     for trial in range(200):
         o = random_origami(rng, dmax=12)
+        for token in toks:
+            image = sl2z_act(token, o)
+            assert (image.sigma_h, image.sigma_v) == \
+                _token_step(token, o.sigma_h, o.sigma_v)
         word = [rng.choice(toks) for _ in range(rng.randrange(0, 12))]
         folded = o
         for token in reversed(word):
