@@ -71,7 +71,8 @@ class CoverSpec:
     alpha_1 * ... * alpha_n * [m, p] = 1 (loops composed left to
     right as functions, rightmost applied first).  The stored monodromy
     includes alpha_1 and is checked against that relation.  For a
-    sphere the generators are gamma_1..gamma_n with product 1.
+    sphere the generators are gamma_1..gamma_n with product 1.  The
+    generators must reach every sheet from sheet 1 (orbit_size).
     """
     base: str
     degree: int
@@ -106,11 +107,10 @@ class CoverSpec:
             raise DomainError("monodromy violates the surface group "
                               "relation (product of loops is not 1)")
         gens = [self.monodromy[k] for k in keys]
-        if not perms.is_transitive(gens, self.degree):
-            orbs = perms.orbits(gens, self.degree)
-            raise DomainError(
-                "the cover is not connected: sheet orbits %s"
-                % [[x + 1 for x in o] for o in orbs])
+        k = perms.orbit_size(gens, self.degree)
+        if k < self.degree:
+            raise DomainError("the cover is not connected: sheet 1 reaches "
+                              "%d of %d sheets" % (k, self.degree))
 
     def _loop_key(self, i):
         return ("alpha_%d" if self.base == "torus" else "gamma_%d") % i
@@ -184,6 +184,8 @@ class PillowcaseCover:
 
 
 def _pillowcase_check(d, a):
+    if d < 1:
+        raise DomainError("degree must be positive")
     if len(a) != 4:
         raise DomainError("need exactly four branch parameters")
     problems = []
@@ -212,8 +214,6 @@ def pillowcase_genus(d, a):
     point with four ramification points of index d/2; that profile is
     attached in this case.
     """
-    if d < 1:
-        raise DomainError("degree must be positive")
     a = tuple(a)
     _pillowcase_check(d, a)
     chi = sum(gcd(d, ai) for ai in a) - 2 * d
@@ -269,6 +269,15 @@ def _check_branch_points(k, what="leaf_genus_growth certifies"):
                           % (k, MAX_BRANCH_POINTS, what))
 
 
+def _check_stages(d, k):
+    """The first checks of leaf_genus_growth and its general form."""
+    _check_branch_points(k)
+    if k < 1:
+        raise DomainError("need at least one branch point")
+    if d < 1:
+        raise DomainError("degree must be positive")
+
+
 def leaf_genus_growth(d, per_point, k):
     """Euler characteristic certificate for iterated branched covers of
     disks.
@@ -278,9 +287,10 @@ def leaf_genus_growth(d, per_point, k):
     index e_i.  per_point is a list of (d_i, e_i) pairs, either one per
     point or a single pair reused for every point.  Returns the bound
     chi <= d - k together with the full chi sequence, which decreases
-    strictly.  k above MAX_BRANCH_POINTS is refused.
+    strictly.  k above MAX_BRANCH_POINTS is refused, and every pair is
+    checked, d_i * e_i <= d too, before any fibre is built.
     """
-    _check_branch_points(k)
+    _check_stages(d, k)
     per_point = list(per_point)
     if per_point and isinstance(per_point[0], int):
         per_point = [tuple(per_point)]
@@ -293,7 +303,6 @@ def leaf_genus_growth(d, per_point, k):
     if len(per_point) != k:
         raise DomainError("need one (d_i, e_i) pair per branch point "
                           "(got %d pairs for k = %d)" % (len(per_point), k))
-    fibres = []
     for i, (di, ei) in enumerate(per_point, start=1):
         if ei < 2:
             raise DomainError("point %d: index e = %d is not a branch "
@@ -301,18 +310,16 @@ def leaf_genus_growth(d, per_point, k):
         if di < 1:
             raise DomainError("point %d: need at least one ramification "
                               "point" % i)
-        fibres.append([ei] * di)
-    return leaf_genus_growth_fibres(d, fibres, k)
+        if di * ei > d:
+            raise DomainError("point %d: %d sheets ramify but the degree "
+                              "is %d" % (i, di * ei, d))
+    return leaf_genus_growth_fibres(d, [[ei] * di for di, ei in per_point], k)
 
 
 def leaf_genus_growth_fibres(d, fibres, k):
     """General form of leaf_genus_growth: each branch point carries a
     list of ramification indices >= 2 (unramified sheets implied)."""
-    _check_branch_points(k)
-    if k < 1:
-        raise DomainError("need at least one branch point")
-    if d < 1:
-        raise DomainError("degree must be positive")
+    _check_stages(d, k)
     if len(fibres) != k:
         raise DomainError("need one fibre per branch point")
     chi_sequence = []

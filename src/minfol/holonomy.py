@@ -268,8 +268,8 @@ class OrbitStats:
         }
 
 
-# orbit_density keeps every visited point, about 32 bytes each, so it
-# runs at most this many steps
+# orbit_density runs at most this many steps, keeping every point at
+# about 32 bytes; rotation_number applies at most this many letters
 MAX_ORBIT_STEPS = 10 ** 7
 
 
@@ -525,13 +525,17 @@ def rotation_number(word, n):
     word is one generator or a sequence applied rightmost first; every
     letter must be an orientation-preserving homeomorphism.  Returns
     the average displacement of a canonical lift over n steps, which
-    approximates the rotation number within 1/n.
+    approximates the rotation number within 1/n.  More than
+    MAX_ORBIT_STEPS letter applications are refused before any is made.
     """
     if n < 100:
         raise DomainError("need at least 100 iterations")
     gens = list(word) if isinstance(word, (list, tuple)) else [word]
     if not gens:
         raise DomainError("empty word")
+    if n * len(gens) > MAX_ORBIT_STEPS:
+        raise DomainError("%d steps is more than the %d that rotation_number "
+                          "runs" % (n * len(gens), MAX_ORBIT_STEPS))
     lifts = [_lift_factory(g) for g in reversed(gens)]  # rightmost first
     x = 0.0
     for _ in range(n):

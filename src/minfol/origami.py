@@ -47,11 +47,10 @@ class Origami:
             if not perms.is_perm(p, self.d):
                 raise DomainError("%s is not a permutation of %d squares"
                                   % (name, self.d))
-        if not perms.is_transitive([self.sigma_h, self.sigma_v], self.d):
-            orbs = perms.orbits([self.sigma_h, self.sigma_v], self.d)
-            raise DomainError(
-                "origami is not connected: square orbits %s"
-                % [[x + 1 for x in o] for o in orbs])
+        k = perms.orbit_size([self.sigma_h, self.sigma_v], self.d)
+        if k < self.d:
+            raise DomainError("origami is not connected: square 1 reaches "
+                              "%d of %d squares" % (k, self.d))
 
     def vertex_permutation(self):
         """The corner walk sigma_h . sigma_v . sigma_h^-1 . sigma_v^-1."""
@@ -355,8 +354,13 @@ def pillowcase_origami(d, a):
     cover of the flat sphere) into d/2 sheets; crossing a marked edge
     shifts the sheet by a fixed amount, chosen so that the walk around
     the four marked corners realizes the rotation numbers.  The result
-    has 2d squares and the genus predicted by pillowcase_genus.
+    has 2d squares and the genus predicted by pillowcase_genus.  More
+    than permutations.MAX_POINTS squares are refused.
     """
+    if 2 * d > perms.MAX_POINTS:
+        raise DomainError("%d squares is more than the %d that "
+                          "pillowcase_origami builds"
+                          % (2 * d, perms.MAX_POINTS))
     a = tuple(a)
     if d % 2 != 0:
         raise DomainError("square-tiled model needs even degree")

@@ -3,7 +3,8 @@
 Composition is function composition: compose(p, q) applies q first, then
 p.  Every module in this package uses that convention.  Text cycle
 notation is 1-based, matching the usual way these come up on paper;
-internal indices are 0-based.
+internal indices are 0-based.  orbit_size is the one connectivity
+test of a gluing, for origamis and covers alike.
 """
 
 import re
@@ -62,33 +63,12 @@ def cycle_lengths(p):
     return sorted(len(c) for c in cycles(p, include_fixed=True))
 
 
-def orbits(gens, n):
-    """Orbits of {0..n-1} under the group generated by gens."""
-    seen = [False] * n
-    out = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        orb = [start]
-        seen[start] = True
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for g in gens:
-                y = g[x]
-                if not seen[y]:
-                    seen[y] = True
-                    orb.append(y)
-                    stack.append(y)
-        out.append(sorted(orb))
-    return out
-
-
-def is_transitive(gens, n):
-    """True when the group generated by gens has at most one orbit:
-    one search from 0 that stops once every point is reached."""
+def orbit_size(gens, n):
+    """How many of the n points the group generated by gens reaches
+    from 0: one search that stops once every point is reached, so n
+    means transitive; 0 when n = 0."""
     if n == 0:
-        return True
+        return 0
     seen = [False] * n
     seen[0] = True
     stack = [0]
@@ -101,31 +81,30 @@ def is_transitive(gens, n):
                 seen[y] = True
                 count += 1
                 if count == n:
-                    return True
+                    return n
                 stack.append(y)
-    return count == n
+    return count
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
+
+
+# parse_cycles builds at most this many points, and pillowcase_origami
+# at most this many squares
+MAX_POINTS = 10 ** 5
 
 
 def parse_cycles(text, n=None):
     """Parse 1-based cycle notation like "(1 2 3)(4 5)" into an image tuple.
 
     Labels may be separated by spaces or commas.  n defaults to the
-    largest label mentioned.  "()" and "id" denote the identity (n
-    required in that case unless labels appear elsewhere).
+    largest label mentioned, 0 for the identity "()" or "id".  A size
+    above MAX_POINTS is refused before the image is built.
     """
     text = text.strip()
-    if text in ("", "id", "()"):
-        if n is None:
-            raise DomainError("identity permutation needs an explicit size")
-        return identity(n)
-    body = _CYCLE_RE.sub("", text).strip()
-    if body:
+    if text not in ("", "id") and _CYCLE_RE.sub("", text).strip():
         raise DomainError("malformed cycle notation: %r" % text)
     parsed = []
-    maxlabel = 0
     for group in _CYCLE_RE.findall(text):
         labels = [s for s in re.split(r"[,\s]+", group.strip()) if s]
         if not labels:
@@ -137,10 +116,13 @@ def parse_cycles(text, n=None):
         if any(x < 1 for x in cyc):
             raise DomainError("cycle labels are 1-based: %r" % text)
         parsed.append(cyc)
-        maxlabel = max(maxlabel, max(cyc))
+    maxlabel = max(map(max, parsed), default=0)
     size = maxlabel if n is None else n
-    if size < maxlabel:
+    if parsed and size < maxlabel:
         raise DomainError("cycle label %d exceeds size %d" % (maxlabel, size))
+    if size > MAX_POINTS:
+        raise DomainError("%d points is more than the %d that parse_cycles "
+                          "builds" % (size, MAX_POINTS))
     img = list(range(size))
     touched = set()
     for cyc in parsed:

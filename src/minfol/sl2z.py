@@ -95,9 +95,10 @@ T_MAT = IntMatrix2(1, 1, 0, 1)
 
 
 def _split_square(n):
-    """n = s*s*r with r squarefree; returns (s, r)."""
+    """n = s*s*r with r squarefree; returns (s, r).  Trial division stops
+    at d**3 > n, leaving 1, p, p*q or p*p; isqrt tells p*p apart."""
     s, r, d = 1, 1, 2
-    while d * d <= n:
+    while d * d * d <= n:
         e = 0
         while n % d == 0:
             n //= d
@@ -106,7 +107,8 @@ def _split_square(n):
         if e % 2:
             r *= d
         d += 1
-    return s, r * n
+    p = isqrt(n)
+    return (s * p, r) if p * p == n else (s, r * n)
 
 
 class QuadraticIrrational:

@@ -118,7 +118,7 @@ def test_criterion_5_homology_oracle_equivalence():
         for d in range(1, 6):
             for sh in itertools.permutations(range(d)):
                 for sv in itertools.permutations(range(d)):
-                    if not perms.is_transitive([sh, sv], d):
+                    if perms.orbit_size([sh, sv], d) != d:
                         continue
                     o = Origami(d, sh, sv)
                     g = o.genus()
@@ -196,3 +196,12 @@ def test_criterion_9_leaf_growth_certificate():
             assert chi <= d - j
         for prev, cur in zip(seq, seq[1:]):
             assert cur < prev
+
+
+def test_criterion_10_classify_large_trace():
+    # t - 2 and t + 2 are both prime, so the radical t^2 - 4 has no
+    # factor that trial division below its cube root can find
+    t = 10000455
+    with criterion(10, "classify at trace 10^7", 2.0):
+        c = classify(IntMatrix2(t - 1, 1, t - 2, 1))
+        assert c.stretch == QuadraticIrrational(t, 1, (t - 2) * (t + 2), 2)

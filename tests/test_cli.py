@@ -396,13 +396,47 @@ def test_stabilizer_refuses_witnesses_the_tolerance_cannot_separate(
     ("cover.MAX_BRANCH_POINTS", 10,
      ["cover", "double", "--n", "12"],
      "12 branch points is more than the 10 that build_double_cover builds"),
+    ("holonomy.MAX_ORBIT_STEPS", 1000,
+     ["holonomy", "rotnum", "--gens", "rot:0.1;rot:0.2", "--n", "501"],
+     "1002 steps is more than the 1000 that rotation_number runs"),
+    ("permutations.MAX_POINTS", 10,
+     ["origami", "build", "--sigma-h", "(1 11)", "--sigma-v", "(1 2)"],
+     "11 points is more than the 10 that parse_cycles builds"),
+    ("permutations.MAX_POINTS", 10,
+     ["origami", "build", "--d", "11", "--sigma-h", "()", "--sigma-v", "()"],
+     "11 points is more than the 10 that parse_cycles builds"),
+    ("permutations.MAX_POINTS", 10,
+     ["origami", "pillowcase", "--d", "6", "--a", "1,1,1,3"],
+     "12 squares is more than the 10 that pillowcase_origami builds"),
 ], ids=["orbit_steps", "stabilizer_max_len", "growth_k", "pipeline_k",
-        "double_n"])
+        "double_n", "rotnum_steps", "cycle_label", "cycle_size",
+        "pillowcase_squares"])
 def test_work_above_its_limit_exits_2_with_one_line(
         capsys, monkeypatch, constant, limit, argv, message):
     # the limits are lowered here, so no test runs a huge input
     module, name = constant.split(".")
     monkeypatch.setattr(getattr(minfol, module), name, limit)
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "domain error: %s\n" % message
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["origami", "pillowcase", "--d", "0", "--a", "1,1,1,1"],
+     "degree must be positive"),
+    (["cover", "pillowcase", "--d", "0", "--a", "1,1,1,1"],
+     "degree must be positive"),
+    (["origami", "build", "--sigma-h", "(1 5)", "--sigma-v", "(1 2)"],
+     "origami is not connected: square 1 reaches 3 of 5 squares"),
+    (["origami", "build", "--sigma-h", "()", "--sigma-v", "()"],
+     "need at least one square"),
+    (["cover", "growth", "--d", "2", "--per-point", "3,2", "--k", "1"],
+     "point 1: 6 sheets ramify but the degree is 2"),
+    (["cover", "growth", "--d", "2", "--per-point", "1,2", "--k", "-5"],
+     "need at least one branch point"),
+], ids=["origami_pillowcase_d0", "cover_pillowcase_d0", "disconnected",
+        "no_squares", "growth_sheets", "growth_negative_k"])
+def test_bad_input_exits_2_with_one_line(capsys, argv, message):
     code, out, err = invoke(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == "domain error: %s\n" % message

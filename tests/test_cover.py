@@ -87,7 +87,8 @@ def test_cover_spec_rejects_disconnected():
         CoverSpec(base="torus", degree=2, punctures=("p1", "p2"),
                   monodromy={"m": ident, "p": ident,
                              "alpha_1": ident, "alpha_2": ident})
-    assert "not connected" in str(err.value)
+    assert str(err.value) == \
+        "the cover is not connected: sheet 1 reaches 1 of 2 sheets"
 
 
 def test_cover_spec_sphere_pillowcase_double():
@@ -185,6 +186,14 @@ def test_pillowcase_rejects_bad_parameters():
         pillowcase_genus(0, (1, 1, 1, 1))
 
 
+def test_pillowcase_degree_zero_is_refused_before_any_modulus():
+    from minfol.origami import pillowcase_origami
+    for build in (pillowcase_genus, pillowcase_sphere_profile,
+                  pillowcase_origami):
+        with pytest.raises(DomainError, match="^degree must be positive$"):
+            build(0, (1, 1, 1, 1))
+
+
 # -------------------------------------------------------- leaf genus
 
 
@@ -226,6 +235,15 @@ def test_leaf_growth_rejects_bad_input():
         leaf_genus_growth_fibres(4, [[2], [2]], 1)
     with pytest.raises(DomainError, match="point 2: no ramification"):
         leaf_genus_growth_fibres(4, [[2, 2], []], 2)
+
+
+def test_leaf_growth_checks_k_then_each_pair_before_its_fibre():
+    with pytest.raises(DomainError, match="^need at least one branch point$"):
+        leaf_genus_growth(2, (1, 2), -5)
+    # point 1 ramifies too many sheets: refused before point 2 is read
+    with pytest.raises(DomainError, match="^point 1: 6 sheets ramify but "
+                                          "the degree is 2$"):
+        leaf_genus_growth(2, [(3, 2), (1, 1)], 2)
 
 
 def test_leaf_growth_names_a_bad_pair():

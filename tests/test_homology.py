@@ -32,7 +32,7 @@ def random_origami(rng, dmax=6):
         sv = list(range(d))
         rng.shuffle(sh)
         rng.shuffle(sv)
-        if perms.is_transitive([tuple(sh), tuple(sv)], d):
+        if perms.orbit_size([tuple(sh), tuple(sv)], d) == d:
             return Origami(d, tuple(sh), tuple(sv))
 
 
@@ -184,7 +184,7 @@ def census(dmax):
     for d in range(1, dmax + 1):
         for sh in itertools.permutations(range(d)):
             for sv in itertools.permutations(range(d)):
-                if perms.is_transitive([sh, sv], d):
+                if perms.orbit_size([sh, sv], d) == d:
                     yield Origami(d, sh, sv)
 
 

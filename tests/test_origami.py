@@ -7,7 +7,7 @@ import pytest
 from minfol.errors import DomainError, InternalError
 from minfol import origami
 from minfol import permutations as perms
-from minfol.cover import pillowcase_genus
+from minfol.cover import build_double_cover, pillowcase_genus
 from minfol.origami import (Origami, named_origami, TORUS, WOLLMILCHSAU,
                             sl2z_act, act_word, relabel, canonical_form,
                             lift_automorphism, pillowcase_origami)
@@ -23,7 +23,7 @@ def random_origami(rng, dmax=6):
         sv = list(range(d))
         rng.shuffle(sh)
         rng.shuffle(sv)
-        if perms.is_transitive([tuple(sh), tuple(sv)], d):
+        if perms.orbit_size([tuple(sh), tuple(sv)], d) == d:
             return Origami(d, tuple(sh), tuple(sv))
 
 
@@ -59,6 +59,27 @@ def test_rejects_disconnected_and_malformed():
         Origami(2, (0, 0), (1, 0))
     with pytest.raises(DomainError):
         Origami(0, (), ())
+
+
+def test_disconnection_is_refused_in_one_short_line():
+    with pytest.raises(DomainError) as err:
+        Origami(5, perms.parse_cycles("(1 5)", 5),
+                perms.parse_cycles("(1 2)", 5))
+    assert str(err.value) == \
+        "origami is not connected: square 1 reaches 3 of 5 squares"
+    # 5000 orbits, and still one short line
+    ident = perms.identity(5000)
+    with pytest.raises(DomainError) as err:
+        Origami(5000, ident, ident)
+    assert len(str(err.value)) < 200
+
+
+def test_one_orbit_search_per_origami_and_per_cover(monkeypatch):
+    calls = _count_calls(monkeypatch, perms, "orbit_size")
+    Origami(3, (1, 2, 0), (0, 2, 1))
+    assert calls[0] == 1
+    build_double_cover(4)
+    assert calls[0] == 2
 
 
 def test_genus_two_example():
@@ -203,7 +224,7 @@ def _census():
     for d in range(1, 6):
         for sh in itertools.permutations(range(d)):
             for sv in itertools.permutations(range(d)):
-                if perms.is_transitive([sh, sv], d):
+                if perms.orbit_size([sh, sv], d) == d:
                     yield Origami(d, sh, sv)
 
 
@@ -502,7 +523,7 @@ def test_runs_match_the_token_walk_on_surfaces_words():
         while True:
             sh = _perm_of_small_order(rng, d)
             sv = _perm_of_small_order(rng, d)
-            if perms.is_transitive([sh, sv], d):
+            if perms.orbit_size([sh, sv], d) == d:
                 break
         o = Origami(d, sh, sv)
         p, q = _order(sh), _order(sv)

@@ -73,17 +73,18 @@ def test_parse_cycles_forms():
     for bad in ("(1 2", "(0 1)", "(1 2)(2 3)", "1 2 3"):
         with pytest.raises(DomainError):
             perms.parse_cycles(bad, 4)
-    with pytest.raises(DomainError):
-        perms.parse_cycles("id")   # size required for the identity
+    assert perms.parse_cycles("id") == ()   # sized by its largest label
 
 
 def test_orbits_and_transitivity():
     a = perms.parse_cycles("(1 2)", 4)
     b = perms.parse_cycles("(3 4)", 4)
-    assert not perms.is_transitive([a, b], 4)
-    assert sorted(map(sorted, perms.orbits([a, b], 4))) == [[0, 1], [2, 3]]
+    assert perms.orbit_size([a, b], 4) == 2
+    assert perms.orbit_size([b, a], 4) == 2     # the orbit of 0 either way
     c = perms.parse_cycles("(2 3)", 4)
-    assert perms.is_transitive([a, b, c], 4)
+    assert perms.orbit_size([a, b, c], 4) == 4
+    assert perms.orbit_size([(), ()], 0) == 0
+    assert perms.orbit_size([(0,)], 1) == 1
 
 
 def test_is_perm_rejects_junk():

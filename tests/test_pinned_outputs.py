@@ -69,7 +69,7 @@ def _sweep_origamis(rng):
         sv = list(range(d))
         rng.shuffle(sh)
         rng.shuffle(sv)
-        if perms.is_transitive([tuple(sh), tuple(sv)], d):
+        if perms.orbit_size([tuple(sh), tuple(sv)], d) == d:
             out.append(Origami(d, tuple(sh), tuple(sv)))
     return out
 
@@ -160,7 +160,7 @@ def census_origamis():
     for d in range(1, 6):
         for sh in itertools.permutations(range(d)):
             for sv in itertools.permutations(range(d)):
-                if perms.is_transitive([sh, sv], d):
+                if perms.orbit_size([sh, sv], d) == d:
                     yield Origami(d, sh, sv)
 
 
@@ -178,7 +178,7 @@ def _canonical_sweep(rng):
     while len(out) < 40:
         d = rng.randrange(1, 65)
         sh, sv = _random_perm(rng, d), _random_perm(rng, d)
-        if perms.is_transitive([sh, sv], d):
+        if perms.orbit_size([sh, sv], d) == d:
             out.append(Origami(d, sh, sv))
     symmetric = [WOLLMILCHSAU] + [
         pillowcase_origami(n, (1, 1, 1, n - 3)) for n in range(4, 33, 4)]

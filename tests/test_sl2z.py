@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -125,6 +126,18 @@ def test_quadratic_irrational_ordering():
     assert not (lam < lam)
     assert QuadraticIrrational(0, 1, 2) > Fraction(7, 5)
     assert QuadraticIrrational(0, 1, 2) < Fraction(3, 2)
+
+
+def test_split_square_matches_brute_force():
+    rng = random.Random(11)
+    primes = (101, 1009, 10007)
+    sweep = list(range(1, 3000)) + \
+        [rng.randrange(1, 10 ** 7) for _ in range(200)] + \
+        [p * p * q for p in primes for q in (1, 2, 3, 103)] + \
+        [p * q for p in primes for q in primes] + [101 ** 3, 1009 ** 3]
+    for n in sweep:
+        s = max(k for k in range(1, isqrt(n) + 1) if n % (k * k) == 0)
+        assert sl2z._split_square(n) == (s, n // (s * s)), n
 
 
 # ----------------------------------------------------------- decomposing
