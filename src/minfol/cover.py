@@ -285,10 +285,11 @@ def leaf_genus_growth(d, per_point, k):
     The k-th stage covers a disk (chi = 1) with degree d, branched over
     points 1..k where point i contributes d_i ramification points of
     index e_i.  per_point is a list of (d_i, e_i) pairs, either one per
-    point or a single pair reused for every point.  Returns the bound
-    chi <= d - k together with the full chi sequence, which decreases
-    strictly.  k above MAX_BRANCH_POINTS is refused, and every pair is
-    checked, d_i * e_i <= d too, before any fibre is built.
+    point or a single pair reused for every point, whose one fibre list
+    is then passed k times.  Returns the bound chi <= d - k together
+    with the full chi sequence, which decreases strictly.  k above
+    MAX_BRANCH_POINTS is refused, and every pair is checked, d_i * e_i
+    <= d too, before any fibre is built.
     """
     _check_stages(d, k)
     per_point = list(per_point)
@@ -298,9 +299,7 @@ def leaf_genus_growth(d, per_point, k):
         if len(entry) != 2:
             raise DomainError("per-point entry %s is not a (d_i, e_i) pair"
                               % (list(entry),))
-    if len(per_point) == 1:
-        per_point = per_point * k
-    if len(per_point) != k:
+    if len(per_point) not in (1, k):
         raise DomainError("need one (d_i, e_i) pair per branch point "
                           "(got %d pairs for k = %d)" % (len(per_point), k))
     for i, (di, ei) in enumerate(per_point, start=1):
@@ -313,7 +312,10 @@ def leaf_genus_growth(d, per_point, k):
         if di * ei > d:
             raise DomainError("point %d: %d sheets ramify but the degree "
                               "is %d" % (i, di * ei, d))
-    return leaf_genus_growth_fibres(d, [[ei] * di for di, ei in per_point], k)
+    fibres = [[ei] * di for di, ei in per_point]
+    if len(fibres) == 1:
+        fibres *= k               # one pair reused: one list, k times
+    return leaf_genus_growth_fibres(d, fibres, k)
 
 
 def leaf_genus_growth_fibres(d, fibres, k):

@@ -178,6 +178,8 @@ def _chain_complex(o):
     non-tree coordinates (a cycle is fixed by those coordinates).  The
     sweep takes the first edge, in edge order, that reaches a new
     vertex, round after round; the basis cycles depend on that choice.
+    It stops as soon as the tree spans every vertex, and a surface with
+    one vertex is not swept at all: no edge could join the tree later.
     """
     nverts, cls = _vertex_classes(o)
     ends = _edge_endpoints(o, cls)
@@ -187,7 +189,8 @@ def _chain_complex(o):
     parent_sign = [0] * nverts
     seen = [False] * nverts
     seen[0] = True
-    grew = True
+    reached = 1
+    grew = nverts > 1
     tree = set()
     while grew:
         grew = False
@@ -204,8 +207,11 @@ def _chain_complex(o):
             tree.add(e)
             parent_edge[w] = e
             parent_sign[w] = sgn
-            grew = True
-    if not all(seen):
+            reached += 1
+            grew = reached < nverts
+            if not grew:
+                break
+    if reached < nverts:
         raise InternalError("the 1-skeleton of %s is not connected" % (o,))
 
     nontree = [e for e in range(2 * o.d) if e not in tree]

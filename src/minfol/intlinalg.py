@@ -4,9 +4,10 @@ Everything here is integer or Fraction arithmetic; no floats.  Rank,
 kernel, determinant and adjugate share one elimination kernel:
 fraction-free Gauss-Jordan over Z with gcd row multipliers and content
 division, after Bareiss (Math. Comp. 1968), as a forward pass
-`_echelon` and a back-substitution `_rref` on top of it.  Rational
-input is scaled to integer rows first, and a Fraction is made only for
-an output entry that needs one.  The Smith normal form has its own integer
+`_echelon` and a back-substitution `_rref` on top of it.  Integer rows
+go in unscaled, with no pass over their denominators; rational input
+is scaled to integer rows first, and a Fraction is made only for an
+output entry that needs one.  The Smith normal form has its own integer
 elimination, since it needs a unimodular column transform; it returns
 the divisors, not the dense diagonal matrix, and builds no row
 transform, which no caller reads.
@@ -61,31 +62,41 @@ def _eliminate(row, prow, c):
     return row, a, g or 1
 
 
+# the entry types of a row that `_echelon` takes unscaled, and the det
+# it returns for a singular block, made once
+_INT = {int}
+_ZERO = Fraction(0)
+
+
 def _echelon(M):
     """Row echelon form over Q, computed over Z: the forward pass.
 
     Returns (rows, pivots, det).  Row r < len(pivots) is a primitive
     integer vector with a positive entry at its pivot column pivots[r]
-    and zeros to the left of it; the other rows are zero.  A row with
-    Fraction entries is first scaled by the lcm of its denominators.
-    Rows below a pivot are cleared with gcd multipliers and divided by
-    their content, so no Fraction arises and entries stay small.  det is
-    the determinant of the leading square block of M (0 when its columns
-    are not all pivots), read off the row operations as a Fraction.
+    and zeros to the left of it; the other rows are zero.  A row of
+    int entries goes in as it is; a row with Fraction entries is first
+    scaled by the lcm of its denominators.  Rows below a pivot are
+    cleared with gcd multipliers and divided by their content, so no
+    Fraction arises and entries stay small.  det is the determinant of
+    the leading square block of M (0 when its columns are not all
+    pivots), read off the row operations as a Fraction.
     """
     R = []
     num, den = 1, 1  # det of the leading block of R over that of M
     for row in M:
-        scale = lcm(*[x.denominator for x in row])
-        if scale == 1:
-            row = list(map(int, row))
+        if set(map(type, row)) <= _INT:
+            row = list(row)
         else:
-            row = [x.numerator * (scale // x.denominator) for x in row]
+            scale = lcm(*[x.denominator for x in row])
+            if scale == 1:
+                row = list(map(int, row))
+            else:
+                row = [x.numerator * (scale // x.denominator) for x in row]
+                num *= scale
         g = gcd(*row)
         if g > 1:
             row = [x // g for x in row]
         R.append(row)
-        num *= scale
         den *= g or 1
     m = len(R)
     n = len(R[0]) if m else 0
@@ -110,7 +121,7 @@ def _echelon(M):
                 num *= a
                 den *= g
         pivots.append(c)
-    det = Fraction(0)
+    det = _ZERO
     if pivots == list(range(m)):
         # the leading block of R is upper triangular: its determinant
         # is the product of the pivots

@@ -8,7 +8,12 @@ Going once counterclockwise around the corner vertex of a square
 traces the commutator c = sigma_h . sigma_v . sigma_h^-1 . sigma_v^-1;
 its cycles are the vertices of the glued surface, and a cycle of
 length l is a cone point of angle 2*pi*l.  With d squares, 2d edges
-and d faces this gives genus = 1 + (d - V)/2 for V cycles.
+and d faces this gives genus = 1 + (d - V)/2 for V cycles.  The walk
+is filled in one pass over the squares, c(sigma_v(sigma_h(x))) =
+sigma_h(sigma_v(x)), with no inverse built.  Its cycles are stored
+in the instance dict on first read and shared by genus, stratum and
+homology; a plain dict entry takes no lock, where
+functools.cached_property takes one on Python 3.10 and 3.11.
 
 The group generated by S and T acts on origamis, and this module is
 the one home of that token geometry: `_walk` runs a word through the
@@ -23,7 +28,7 @@ the tokens must reproduce their own matrices.
 """
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate
 
 from .errors import DomainError, InternalError
@@ -39,38 +44,47 @@ class Origami:
     sigma_v: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "sigma_h", tuple(self.sigma_h))
-        object.__setattr__(self, "sigma_v", tuple(self.sigma_v))
-        if self.d < 1:
+        d, sh, sv = self.d, self.sigma_h, self.sigma_v
+        if type(sh) is not tuple:
+            sh = tuple(sh)
+            object.__setattr__(self, "sigma_h", sh)
+        if type(sv) is not tuple:
+            sv = tuple(sv)
+            object.__setattr__(self, "sigma_v", sv)
+        if d < 1:
             raise DomainError("need at least one square")
-        for name, p in (("sigma_h", self.sigma_h), ("sigma_v", self.sigma_v)):
-            if not perms.is_perm(p, self.d):
+        squares = list(range(d))
+        for name, p in (("sigma_h", sh), ("sigma_v", sv)):
+            if len(p) != d or sorted(p) != squares:
                 raise DomainError("%s is not a permutation of %d squares"
-                                  % (name, self.d))
-        k = perms.orbit_size([self.sigma_h, self.sigma_v], self.d)
-        if k < self.d:
+                                  % (name, d))
+        k = perms.orbit_size([sh, sv], d)
+        if k < d:
             raise DomainError("origami is not connected: square 1 reaches "
-                              "%d of %d squares" % (k, self.d))
+                              "%d of %d squares" % (k, d))
 
     def vertex_permutation(self):
-        """The corner walk sigma_h . sigma_v . sigma_h^-1 . sigma_v^-1."""
+        """The corner walk c = sigma_h . sigma_v . sigma_h^-1 . sigma_v^-1,
+        filled in one pass: c(sigma_v(sigma_h(x))) = sigma_h(sigma_v(x))."""
         sh, sv = self.sigma_h, self.sigma_v
-        ish = perms.inverse(sh)
-        return tuple([sh[sv[ish[y]]] for y in perms.inverse(sv)])
-
-    @cached_property
-    def _vertex_cycles(self):
-        # not a dataclass field, so ==, hash and repr do not see it
-        return tuple(perms.cycles(self.vertex_permutation(),
-                                  include_fixed=True))
+        c = [0] * self.d
+        for x, y in enumerate(sh):
+            c[sv[y]] = sh[sv[x]]
+        return tuple(c)
 
     def vertex_cycles(self):
         """Cycles of the corner walk, one per vertex; computed once per
         origami and shared by genus, stratum and homology."""
-        return self._vertex_cycles
+        # kept in the instance dict, not a dataclass field, so ==, hash
+        # and repr do not see it
+        cyc = self.__dict__.get("_vertex_cycles")
+        if cyc is None:
+            cyc = self.__dict__["_vertex_cycles"] = tuple(
+                perms.cycles(self.vertex_permutation(), include_fixed=True))
+        return cyc
 
     def genus(self):
-        v = len(self._vertex_cycles)
+        v = len(self.vertex_cycles())
         if (self.d - v) % 2:
             raise InternalError("%d squares and %d vertices give an odd "
                                 "Euler characteristic" % (self.d, v))
@@ -78,7 +92,7 @@ class Origami:
 
     def stratum(self):
         """Cone angles as multiples of 2*pi, sorted descending."""
-        return tuple(sorted((len(c) for c in self._vertex_cycles),
+        return tuple(sorted((len(c) for c in self.vertex_cycles()),
                             reverse=True))
 
     def to_json(self):

@@ -475,18 +475,26 @@ def word_matrix(word):
     return M
 
 
+# decompose_st writes at most this many tokens; the word of A has one
+# T or T^-1 per unit of each Euclidean quotient, so its length is known
+# before it is built
+MAX_WORD_TOKENS = 10 ** 5
+
+
 def decompose_st(A):
     """Write A as a word in S, T, T^-1 and -I, exactly.
 
     Euclidean reduction on the first column: shear with a T power
     until the corner entry is a remainder, then one S, repeat.  The
-    result multiplies back to A on the nose and is deterministic.
+    result multiplies back to A on the nose and is deterministic.  The
+    word is first found as runs token^k, and one longer than
+    MAX_WORD_TOKENS is refused before it is written out.
     """
     _check_sl2z(A)
     # A = +-word * M throughout: undoing T^-q appends T^q, and undoing
     # S appends S = -S^-1, the central -I collected in the sign
     sign = 1
-    word = []
+    runs = []
     M = A
     while M.c != 0:
         if M.c > 0:
@@ -495,9 +503,9 @@ def decompose_st(A):
             q = -(M.a // -M.c)
         if q != 0:
             M = (T_MAT ** (-q)) * M
-            word.extend([GenToken.T if q > 0 else GenToken.T_INV] * abs(q))
+            runs.append((GenToken.T if q > 0 else GenToken.T_INV, abs(q)))
         M = S_MAT * M
-        word.append(GenToken.S)
+        runs.append((GenToken.S, 1))
         sign = -sign
     # M is now (+-1, b; 0, +-1)
     if M.a == 1:
@@ -505,10 +513,16 @@ def decompose_st(A):
     else:
         sign = -sign
         shift = -M.b
-    tok = GenToken.T if shift > 0 else GenToken.T_INV
-    word.extend([tok] * abs(shift))
+    runs.append((GenToken.T if shift > 0 else GenToken.T_INV, abs(shift)))
     if sign < 0:
-        word.insert(0, GenToken.NEG_I)
+        runs.insert(0, (GenToken.NEG_I, 1))
+    length = sum(k for _, k in runs)
+    if length > MAX_WORD_TOKENS:
+        raise DomainError("%d tokens is more than the %d that decompose_st "
+                          "writes" % (length, MAX_WORD_TOKENS))
+    word = []
+    for tok, k in runs:
+        word += [tok] * k
     if word_matrix(word) != A:
         raise InternalError("the S/T word of %s multiplies back to %s"
                             % (A, word_matrix(word)))

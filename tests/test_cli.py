@@ -408,9 +408,12 @@ def test_stabilizer_refuses_witnesses_the_tolerance_cannot_separate(
     ("permutations.MAX_POINTS", 10,
      ["origami", "pillowcase", "--d", "6", "--a", "1,1,1,3"],
      "12 squares is more than the 10 that pillowcase_origami builds"),
+    ("sl2z.MAX_WORD_TOKENS", 5,
+     ["classify", "--matrix", "7 1 6 1"],
+     "10 tokens is more than the 5 that decompose_st writes"),
 ], ids=["orbit_steps", "stabilizer_max_len", "growth_k", "pipeline_k",
         "double_n", "rotnum_steps", "cycle_label", "cycle_size",
-        "pillowcase_squares"])
+        "pillowcase_squares", "classify_word"])
 def test_work_above_its_limit_exits_2_with_one_line(
         capsys, monkeypatch, constant, limit, argv, message):
     # the limits are lowered here, so no test runs a huge input

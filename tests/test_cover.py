@@ -213,6 +213,24 @@ def test_leaf_growth_broadcast_and_explicit_agree():
     assert a == b
 
 
+def test_leaf_growth_passes_one_fibre_list_for_a_reused_pair(monkeypatch):
+    seen = []
+    real = cover.leaf_genus_growth_fibres
+
+    def spy(d, fibres, k):
+        seen.append(fibres)
+        return real(d, fibres, k)
+
+    monkeypatch.setattr(cover, "leaf_genus_growth_fibres", spy)
+    cert = leaf_genus_growth(10, (5, 2), 4)
+    assert cert.chi_sequence == (5, 0, -5, -10)
+    assert len(seen[0]) == 4 and len({id(f) for f in seen[0]}) == 1
+    assert seen[0][0] == [2] * 5
+    # pairs given one per point keep one list each
+    assert leaf_genus_growth(10, [(5, 2)] * 4, 4) == cert
+    assert len({id(f) for f in seen[1]}) == 4
+
+
 def test_leaf_growth_mixed_fibres():
     cert = leaf_genus_growth_fibres(5, [[2, 2], [3]], 2)
     assert cert.chi_sequence == (3, 1)

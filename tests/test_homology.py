@@ -16,7 +16,8 @@ from minfol.errors import DomainError, InternalError
 from minfol import intlinalg as la
 from minfol import permutations as perms
 from minfol.homology import (homology_basis, homology_rank, displacement,
-                             induced_action, torelli_order, _push_word)
+                             induced_action, torelli_order, _push_word,
+                             _chain_complex)
 from minfol.origami import (Origami, TORUS, WOLLMILCHSAU, LiftWitness,
                             lift_automorphism, relabel, act_word,
                             pillowcase_origami)
@@ -212,6 +213,56 @@ def test_homology_rank_examples():
                  perms.parse_cycles("(1 3)", 3))
     assert homology_rank(L3) == 4
     assert homology_rank(pillowcase_origami(4, (1, 1, 1, 1))) == 6
+
+
+# ---------------------------------------------------------- spanning tree
+
+
+def round_sweep_tree(ends, nverts):
+    """Reference: the spanning-tree sweep of `_chain_complex` that ran
+    every round to its end and stopped only after a round added nothing.
+    Returns (parent_edge, parent_sign, nontree)."""
+    parent_edge = [None] * nverts
+    parent_sign = [0] * nverts
+    seen = [False] * nverts
+    seen[0] = True
+    grew = True
+    tree = set()
+    while grew:
+        grew = False
+        for e, (t, h) in enumerate(ends):
+            if e in tree:
+                continue
+            if seen[t] and not seen[h]:
+                w, sgn = h, 1
+            elif seen[h] and not seen[t]:
+                w, sgn = t, -1
+            else:
+                continue
+            seen[w] = True
+            tree.add(e)
+            parent_edge[w] = e
+            parent_sign[w] = sgn
+            grew = True
+    assert all(seen)
+    return parent_edge, parent_sign, [e for e in range(len(ends))
+                                      if e not in tree]
+
+
+def test_early_stopping_sweep_builds_the_round_sweep_tree():
+    rng = random.Random(71)
+    origamis = list(census(4))
+    origamis += [random_origami(rng, dmax=12) for _ in range(200)]
+    origamis += [pillowcase_origami(s // 2, (1, 1, 1, s // 2 - 3))
+                 for s in range(16, 65, 4)]
+    nverts = set()
+    for o in origamis:
+        cx = _chain_complex(o)
+        assert (cx.parent_edge, cx.parent_sign, cx.nontree) == \
+            round_sweep_tree(cx.ends, cx.nverts), o
+        nverts.add(cx.nverts)
+    # one-vertex surfaces, which are not swept, and trees of many edges
+    assert 1 in nverts and max(nverts) >= 6
 
 
 # ------------------------------------------------------ intersection form

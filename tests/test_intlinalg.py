@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -259,6 +260,51 @@ def test_rank_of_rational_entries():
     # a genuinely dependent pair collapses to rank one
     C = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1)]]
     assert la.rank_rational(C) == 1
+
+
+def echelon_test_matrices():
+    """Seeded integer matrices with the empty, zero and singular cases:
+    random shapes up to 6 x 10, rows repeated or combined, and column
+    blocks of zeros."""
+    rng = random.Random(83)
+    matrices = [[], [[]], [[0]], [[0, 0, 0], [0, 0, 0]], [[1, 2], [2, 4]],
+                [[5]], [[-3, 6, 9]], [[0, 4], [0, 6]]]
+    for trial in range(300):
+        m, n = rng.randrange(1, 7), rng.randrange(1, 11)
+        A = random_matrix(rng, m, n, -5, 6)
+        if m > 1 and rng.random() < 0.3:
+            i, j = rng.sample(range(m), 2)
+            k = rng.randrange(-3, 4)
+            A[i] = [k * x + y for x, y in zip(A[j], A[rng.randrange(m)])]
+        if rng.random() < 0.2:
+            c = rng.randrange(n)
+            for row in A:
+                row[c] = 0
+        matrices.append(A)
+    return matrices
+
+
+def test_integer_rows_echelon_as_their_fraction_copies():
+    singular = 0
+    for A in echelon_test_matrices():
+        before = [list(row) for row in A]
+        R, pivots, det = la._echelon(A)
+        assert A == before
+        F = [[Fraction(x) for x in row] for row in A]
+        assert (R, pivots, det) == la._echelon(F), A
+        assert type(det) is Fraction
+        # tuple rows come back as lists too
+        assert la._echelon([tuple(row) for row in A]) == (R, pivots, det)
+        assert all(type(row) is list for row in R)
+        if len(A) == len(A[0] if A else ()) and det == 0:
+            singular += 1
+        # scaling row i by 1/k_i scales the leading determinant the
+        # same way and leaves the primitive rows alone
+        ks = [(i % 3) + 2 for i in range(len(A))]
+        G = [[Fraction(x, k) for x in row] for row, k in zip(A, ks)]
+        Rg, pg, dg = la._echelon(G)
+        assert (Rg, pg, dg) == (R, pivots, det / math.prod(ks))
+    assert singular >= 10
 
 
 def test_kernel_agrees_with_reference_gauss_jordan():

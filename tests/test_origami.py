@@ -74,6 +74,32 @@ def test_disconnection_is_refused_in_one_short_line():
     assert len(str(err.value)) < 200
 
 
+def test_gluings_are_stored_as_tuples_and_refused_in_order():
+    o = Origami(3, [1, 2, 0], [0, 2, 1])
+    assert type(o.sigma_h) is tuple and type(o.sigma_v) is tuple
+    assert o == Origami(3, (1, 2, 0), (0, 2, 1))
+    sh, sv = (1, 2, 0), (0, 2, 1)
+    o = Origami(3, sh, sv)
+    assert o.sigma_h is sh and o.sigma_v is sv
+    for d, h, v, message in (
+            (0, [], [], "need at least one square"),
+            (3, [1, 0], [0, 1, 2], "sigma_h is not a permutation of 3 "
+             "squares"),
+            (3, [0, 1, 2], [0, 1, 2, 3], "sigma_v is not a permutation of "
+             "3 squares"),
+            (3, [0, 0, 1], [0, 1, 1], "sigma_h is not a permutation of 3 "
+             "squares"),
+            (3, [1, 2, 0], [0, 2, 2], "sigma_v is not a permutation of 3 "
+             "squares"),
+            (4, [1, 0, 3, 2], [0, 1, 2, 3], "origami is not connected: "
+             "square 1 reaches 2 of 4 squares"),
+            (4, [1, 0, 2, 4], [0, 1, 3, 2], "sigma_h is not a permutation "
+             "of 4 squares")):
+        with pytest.raises(DomainError) as err:
+            Origami(d, h, v)
+        assert str(err.value) == message
+
+
 def test_one_orbit_search_per_origami_and_per_cover(monkeypatch):
     calls = _count_calls(monkeypatch, perms, "orbit_size")
     Origami(3, (1, 2, 0), (0, 2, 1))
@@ -421,6 +447,17 @@ def test_genus_stratum_and_rank_share_one_corner_walk(monkeypatch):
     assert calls[0] == 1
 
 
+def test_genus_builds_no_inverse(monkeypatch):
+    rng = random.Random(89)
+    origamis = [random_origami(rng, dmax=12) for _ in range(30)]
+    calls = _count_calls(monkeypatch, perms, "inverse")
+    for o in origamis:
+        fresh = Origami(o.d, o.sigma_h, o.sigma_v)
+        assert fresh.genus() == o.genus()
+        assert fresh.stratum() == o.stratum()
+    assert calls[0] == 0
+
+
 def test_cached_corner_walk_leaves_equality_hash_and_repr_alone():
     import dataclasses
     rng = random.Random(73)
@@ -434,6 +471,8 @@ def test_cached_corner_walk_leaves_equality_hash_and_repr_alone():
         assert repr(o) == repr(fresh)
     assert [f.name for f in dataclasses.fields(Origami)] == \
         ["d", "sigma_h", "sigma_v"]
+    # a plain dict entry, with no class-level descriptor (and its lock)
+    assert "_vertex_cycles" not in vars(Origami)
 
 
 def test_corner_walk_is_the_commutator():

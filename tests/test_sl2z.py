@@ -158,6 +158,29 @@ def test_decompose_generators_themselves():
         assert word_matrix(decompose_st(A)) == A
 
 
+def test_decompose_refuses_a_word_longer_than_the_limit(monkeypatch):
+    assert sl2z.MAX_WORD_TOKENS >= 1000          # test words reach 123
+    calls = [0]
+    real = sl2z.word_matrix
+
+    def counted(word):
+        calls[0] += 1
+        return real(word)
+
+    monkeypatch.setattr(sl2z, "word_matrix", counted)
+    monkeypatch.setattr(sl2z, "MAX_WORD_TOKENS", 5)
+    assert decompose_st(T ** 5) == [GenToken.T] * 5       # at the limit
+    # (7 1; 6 1) = -I T S T^-6 S, 10 tokens
+    with pytest.raises(DomainError, match="^10 tokens is more than the 5 "
+                       "that decompose_st writes$"):
+        decompose_st(IntMatrix2(7, 1, 6, 1))
+    # counted from the quotients: refused before any word is multiplied
+    calls[0] = 0
+    with pytest.raises(DomainError, match="^10000457 tokens is more"):
+        decompose_st(IntMatrix2(10000454, 1, 10000453, 1))
+    assert calls[0] == 0
+
+
 # ------------------------------------------------------ parabolic shears
 
 
