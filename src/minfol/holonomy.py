@@ -373,6 +373,10 @@ class StabilizerReport:
 # length (about 1.75-fold per letter for BS(1,2), 8.3 s at length 11),
 # so longer words are refused
 MAX_WORD_LENGTH = 16
+# with more generators the ball grows faster (about 2.7-fold per letter
+# for three of them), so the maps held are bounded too, at about 80 MB;
+# BS(1,2) holds 123,005 maps at length 16
+MAX_SEARCH_MAPS = 250_000
 
 
 def stabilizer_search(gens, x, max_len):
@@ -391,6 +395,13 @@ def stabilizer_search(gens, x, max_len):
     per letter where the reduced words grow 3-fold.  Witnesses are
     listed in the order they are found.
 
+    Each explored map x -> 2^k x + n/d is held as the reduced integer
+    triple (k, n, d), with d > 0 and (k, 0, 1) for n = 0, as Fraction
+    keeps n/d; a letter acts on a triple by shifts, products and one
+    gcd.  A word is kept as a chain of letter indices, and the
+    PseudogroupWord and AffineLine of a map are built only for
+    witnesses.
+
     x is handled exactly (floats convert to their exact binary
     fraction); a word counts as a witness when |w(x) - x| < 1e-9, and
     the residual of the worst accepted witness is reported.  An affine
@@ -399,7 +410,10 @@ def stabilizer_search(gens, x, max_len):
     cannot tell apart, and the search refuses them with DomainError.
     Cyclic evidence means every witness is an exact integer power of a
     shortest primitive witness.  max_len above MAX_WORD_LENGTH is
-    refused before the search starts.
+    refused before the search starts.  A ball of more than
+    MAX_SEARCH_MAPS maps is refused once the search holds that many and
+    one more; the count is checked before each word is extended, so the
+    search never holds more than 2 len(gens) - 1 maps past the limit.
     """
     gens = list(gens)
     for g in gens:
@@ -417,32 +431,50 @@ def stabilizer_search(gens, x, max_len):
     # and tol = tn/td, it reads |e| td < tn f for w(x) - x = e/f
     tol = Fraction(FIXED_POINT_TOL)
     tn, td = tol.numerator, tol.denominator
-    letters = [((idx, power), g if power == 1 else g.inverse())
-               for idx, g in enumerate(gens) for power in (1, -1)]
+    gcd = math.gcd
+    names = [(idx, power) for idx in range(len(gens)) for power in (1, -1)]
+    # letter i is (i, k, n, d); letters i and i ^ 1 are mutually inverse
+    letters = [(i, f.k, f.b.numerator, f.b.denominator)
+               for i, f in enumerate(h for g in gens
+                                     for h in (g, g.inverse()))]
+
+    def too_many():
+        return DomainError("words of length %d reach more than the %d maps "
+                           "that stabilizer_search explores"
+                           % (max_len, MAX_SEARCH_MAPS))
 
     seen = {(0, 0, 1)}
     witnesses = []
     residual = 0.0
-    frontier = [PseudogroupWord((), AffineLine(0, 0))]
+    # a word is (letter index, rest of the word) from the left, () for
+    # the empty word; a frontier entry is (word, k, n, d)
+    frontier = [((), 0, 0, 1)]
     for _ in range(max_len):
         nxt = []
-        for word in frontier:
-            first = word.letters[0] if word.letters else None
-            for letter, letter_map in letters:
-                if first == (letter[0], -letter[1]):
+        for word, k0, n0, d0 in frontier:
+            if len(seen) > MAX_SEARCH_MAPS:
+                raise too_many()
+            cancel = word[0] ^ 1 if word else -1
+            for i, k1, n1, d1 in letters:
+                if i == cancel:
                     continue  # immediate cancellation
                 # the new letter acts after the present word, so it
-                # lands on the left
-                comp = letter_map.compose(word.composite)
-                k, n, d = comp.k, comp.b.numerator, comp.b.denominator
-                # ints hash cheaply; Fraction.__hash__ takes a modular
-                # inverse on every lookup
+                # lands on the left: 2^k1 n0/d0 + n1/d1
+                if k1 >= 0:
+                    n, d = (n0 << k1) * d1 + n1 * d0, d0 * d1
+                else:
+                    n, d = n0 * d1 + (n1 * d0 << -k1), (d0 << -k1) * d1
+                g = gcd(n, d)
+                if g != 1:
+                    n //= g
+                    d //= g
+                k = k0 + k1
                 key = (k, n, d)
                 if key in seen:
                     continue
                 seen.add(key)
-                new = PseudogroupWord((letter,) + word.letters, comp)
-                nxt.append(new)
+                new = (i, word)
+                nxt.append((new, k, n, d))
                 if k >= 0:
                     e, f = ((p << k) - p) * d + n * q, q * d
                 else:
@@ -455,10 +487,17 @@ def stabilizer_search(gens, x, max_len):
                             "two distinct affine maps with equal linear "
                             "part fix x within the tolerance %r, which "
                             "cannot tell them apart" % FIXED_POINT_TOL)
-                    witnesses.append(new)
+                    spelled = []
+                    while new:
+                        spelled.append(names[new[0]])
+                        new = new[1]
+                    witnesses.append(PseudogroupWord(
+                        tuple(spelled), AffineLine(k, Fraction(n, d))))
                     # int / int rounds correctly, as float(Fraction) does
                     residual = max(residual, abs(e) / f)
         frontier = nxt
+    if len(seen) > MAX_SEARCH_MAPS:
+        raise too_many()
 
     if not witnesses:
         return StabilizerReport((), "trivial", None, None, 0.0)

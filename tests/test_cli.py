@@ -385,6 +385,11 @@ def test_stabilizer_refuses_witnesses_the_tolerance_cannot_separate(
      ["holonomy", "stabilizer", "--gens", "aff:k=1,b=0", "--x", "1",
       "--max-len", "4"],
      "word length 4 is more than the 3 that stabilizer_search explores"),
+    ("holonomy.MAX_SEARCH_MAPS", 17,
+     ["holonomy", "stabilizer", "--gens", "aff:k=1,b=0;aff:k=0,b=1",
+      "--x", "-1", "--max-len", "3"],
+     "words of length 3 reach more than the 17 maps that "
+     "stabilizer_search explores"),
     ("cover.MAX_BRANCH_POINTS", 10,
      ["cover", "growth", "--d", "2", "--per-point", "1,2", "--k", "11"],
      "11 branch points is more than the 10 that leaf_genus_growth "
@@ -411,9 +416,9 @@ def test_stabilizer_refuses_witnesses_the_tolerance_cannot_separate(
     ("sl2z.MAX_WORD_TOKENS", 5,
      ["classify", "--matrix", "7 1 6 1"],
      "10 tokens is more than the 5 that decompose_st writes"),
-], ids=["orbit_steps", "stabilizer_max_len", "growth_k", "pipeline_k",
-        "double_n", "rotnum_steps", "cycle_label", "cycle_size",
-        "pillowcase_squares", "classify_word"])
+], ids=["orbit_steps", "stabilizer_max_len", "stabilizer_maps", "growth_k",
+        "pipeline_k", "double_n", "rotnum_steps", "cycle_label",
+        "cycle_size", "pillowcase_squares", "classify_word"])
 def test_work_above_its_limit_exits_2_with_one_line(
         capsys, monkeypatch, constant, limit, argv, message):
     # the limits are lowered here, so no test runs a huge input

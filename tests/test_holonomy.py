@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from minfol import holonomy
 from minfol.errors import DomainError
 from minfol.holonomy import (Rotation, Doubling, Mobius, AffineLine,
+                             PseudogroupWord, StabilizerReport,
                              parse_generator, orbit_density,
                              stabilizer_search, rotation_number,
                              verify_commutator_product, circular_distance,
@@ -232,15 +234,20 @@ def _ord2(n):
     return m
 
 
+def _closed_form_xs():
+    """The 245 rationals p / (2^e q) of the closed-form sweep, in order."""
+    return sorted({Fraction(p, 2 ** e * q) for q in range(1, 16, 2)
+                   for e in range(3) for p in range(-9, 10)})
+
+
 def test_stabilizer_matches_closed_form_for_bs12():
     # x -> 2^k x + b with b in Z[1/2] fixes x = p / (2^e q), q odd, iff
     # q | 2^k - 1 and b = x (1 - 2^k), so Stab(x) is generated by
     # k = ord_q(2); a search long enough to find a witness finds it
     gens = [AffineLine(1, Fraction(0)), AffineLine(0, Fraction(1))]
-    xs = {Fraction(p, 2 ** e * q) for q in range(1, 16, 2)
-          for e in range(3) for p in range(-9, 10)}
+    xs = _closed_form_xs()
     found = 0
-    for x in sorted(xs):
+    for x in xs:
         m = _ord2(x.denominator)
         rep = stabilizer_search(gens, x, 8)
         for w in rep.witnesses:
@@ -254,21 +261,29 @@ def test_stabilizer_matches_closed_form_for_bs12():
     assert (len(xs), found) == (245, 131)
 
 
+def _count_gcd(monkeypatch):
+    """Count calls of math.gcd: the search makes one per map it composes,
+    and Fraction a few more for x and the witnesses."""
+    calls = [0]
+    gcd = math.gcd
+
+    def counted(a, b):
+        calls[0] += 1
+        return gcd(a, b)
+
+    monkeypatch.setattr(holonomy.math, "gcd", counted)
+    return calls
+
+
 def test_stabilizer_search_explores_distinct_maps_only(monkeypatch):
     # BS(1,2) has 7,667 elements within radius 11, against 354,292
     # reduced words, and the search composes only extensions of the
-    # first word to reach each element
-    calls = [0]
-    compose = AffineLine.compose
-
-    def counted(self, other):
-        calls[0] += 1
-        return compose(self, other)
-
-    monkeypatch.setattr(AffineLine, "compose", counted)
+    # first word to reach each element; each of the 7,666 besides the
+    # identity is composed at least once
+    calls = _count_gcd(monkeypatch)
     gens = [AffineLine(1, Fraction(0)), AffineLine(0, Fraction(1))]
     rep = stabilizer_search(gens, Fraction(-1), 11)
-    assert calls[0] <= 15000
+    assert 7666 <= calls[0] <= 15000
     assert rep.structure == "cyclic"
     assert rep.primitive.composite == AffineLine(1, Fraction(1))
 
@@ -277,12 +292,143 @@ def test_stabilizer_refuses_longer_words_than_the_limit(monkeypatch):
     assert holonomy.MAX_WORD_LENGTH >= 11         # the ROADMAP row
     gens = [AffineLine(1, Fraction(0)), AffineLine(0, Fraction(1))]
     monkeypatch.setattr(holonomy, "MAX_WORD_LENGTH", 3)
+    calls = _count_gcd(monkeypatch)
     assert stabilizer_search(gens, Fraction(-1), 3).structure == "cyclic"
+    assert calls[0] > 0
     # refused before the first word is composed
-    monkeypatch.setattr(holonomy.AffineLine, "compose", None)
+    calls[0] = 0
     with pytest.raises(DomainError,
                        match="^word length 4 is more than the 3 that "):
         stabilizer_search(gens, Fraction(-1), 4)
+    assert calls[0] == 0
+
+
+def test_stabilizer_refuses_a_ball_above_the_map_limit(monkeypatch):
+    # BS(1,2) holds 1 + 4 + 12 maps within radius 2, and 43 within 3
+    gens = [AffineLine(1, Fraction(0)), AffineLine(0, Fraction(1))]
+    monkeypatch.setattr(holonomy, "MAX_SEARCH_MAPS", 17)
+    assert stabilizer_search(gens, Fraction(-1), 2).structure == "cyclic"
+    for max_len in (3, 4):
+        with pytest.raises(DomainError,
+                           match="^words of length %d reach more than the 17 "
+                                 "maps that stabilizer_search explores$"
+                                 % max_len):
+            stabilizer_search(gens, Fraction(-1), max_len)
+
+
+def _reference_stabilizer_search(gens, x, max_len):
+    """The search as it ran on AffineLine and PseudogroupWord objects,
+    one composed per explored map; the oracle for the integer triples."""
+    gens = list(gens)
+    x = Fraction(x)
+    p, q = x.numerator, x.denominator
+    tol = Fraction(holonomy.FIXED_POINT_TOL)
+    tn, td = tol.numerator, tol.denominator
+    letters = [((idx, power), g if power == 1 else g.inverse())
+               for idx, g in enumerate(gens) for power in (1, -1)]
+    seen = {(0, 0, 1)}
+    witnesses = []
+    residual = 0.0
+    frontier = [PseudogroupWord((), AffineLine(0, 0))]
+    for _ in range(max_len):
+        nxt = []
+        for word in frontier:
+            first = word.letters[0] if word.letters else None
+            for letter, letter_map in letters:
+                if first == (letter[0], -letter[1]):
+                    continue
+                comp = letter_map.compose(word.composite)
+                k, n, d = comp.k, comp.b.numerator, comp.b.denominator
+                if (k, n, d) in seen:
+                    continue
+                seen.add((k, n, d))
+                new = PseudogroupWord((letter,) + word.letters, comp)
+                nxt.append(new)
+                if k >= 0:
+                    e, f = ((p << k) - p) * d + n * q, q * d
+                else:
+                    e, f = (p - (p << -k)) * d + (n * q << -k), q * d << -k
+                if abs(e) * td < tn * f:
+                    if any(w.composite.k == k for w in witnesses):
+                        raise DomainError(
+                            "two distinct affine maps with equal linear "
+                            "part fix x within the tolerance %r, which "
+                            "cannot tell them apart"
+                            % holonomy.FIXED_POINT_TOL)
+                    witnesses.append(new)
+                    residual = max(residual, abs(e) / f)
+        frontier = nxt
+    if not witnesses:
+        return StabilizerReport((), "trivial", None, None, 0.0)
+
+    def word_key(w):
+        return (abs(w.composite.k), 0 if w.composite.k > 0 else 1,
+                len(w.letters))
+
+    primitive = min(witnesses, key=word_key)
+    counterexample = None
+    k0 = primitive.composite.k
+    for w in witnesses:
+        k = w.composite.k
+        if k % k0 != 0 or \
+                holonomy._word_power(primitive, k // k0) != w.composite:
+            counterexample = w
+            break
+    structure = "cyclic" if counterexample is None else "not-cyclic"
+    return StabilizerReport(tuple(witnesses), structure, primitive,
+                            counterexample, residual)
+
+
+def _same_search(gens, x, max_len):
+    """Both searches give equal reports, or refuse with equal messages."""
+    try:
+        want = _reference_stabilizer_search(gens, x, max_len)
+    except DomainError as exc:
+        with pytest.raises(DomainError, match="^%s$" % re.escape(str(exc))):
+            stabilizer_search(gens, x, max_len)
+        return None
+    got = stabilizer_search(gens, x, max_len)
+    assert got == want, (gens, x, max_len)
+    return got
+
+
+def test_stabilizer_search_matches_the_composing_oracle():
+    bs12 = [AffineLine(1, Fraction(0)), AffineLine(0, Fraction(1))]
+    for x in _closed_form_xs():
+        _same_search(bs12, x, 8)
+    rng = random.Random(29)
+    xs = [rng.uniform(-3.0, 3.0) for _ in range(4)] + \
+        [Fraction(rng.randrange(-40, 41), rng.choice((3, 5, 7, 12, 40)))
+         for _ in range(8)] + [-1, 0, Fraction(-1, 3), Fraction(5, 7)]
+    for max_len in range(1, 11):
+        for x in xs[max_len - 1::10] + [-1]:
+            _same_search(bs12, x, max_len)
+    gen_sets = [
+        [AffineLine(-1, Fraction(1, 3)), AffineLine(0, Fraction(2, 5))],
+        [AffineLine(2, Fraction(-3, 7)), AffineLine(-3, Fraction(1, 6))],
+        [AffineLine(1, Fraction(0)), AffineLine(0, Fraction(1, 3)),
+         AffineLine(2, Fraction(1, 5))],
+        [AffineLine(3, Fraction(0)), AffineLine(5, Fraction(0)),
+         AffineLine(-1, Fraction(1))],
+    ]
+    # 1/7 is the fixed point of x -> 4x - 3/7
+    reports = [_same_search(gens, x, max_len) for gens in gen_sets
+               for x in (Fraction(-1), Fraction(0), Fraction(-1, 3),
+                         Fraction(1, 5), Fraction(1, 7), 0.375)
+               for max_len in (1, 3, 5)]
+    assert {r.structure for r in reports} == {"trivial", "cyclic",
+                                              "not-cyclic"}
+
+
+def test_stabilizer_refusals_match_the_composing_oracle(monkeypatch):
+    near = AffineLine(0, Fraction(1, 10 ** 12))
+    for gens, max_len in (([near], 1), ([near], 2),
+                          ([AffineLine(1, Fraction(0)), near], 2)):
+        assert _same_search(gens, Fraction(0), max_len) is None
+    # a tolerance so wide that x -> x + 1 and x -> x - 1 both fix x
+    monkeypatch.setattr(holonomy, "FIXED_POINT_TOL", 2.0)
+    bs12 = [AffineLine(1, Fraction(0)), AffineLine(0, Fraction(1))]
+    assert _same_search(bs12, Fraction(-1), 2) is None
 
 
 def test_stabilizer_rejects_non_affine():
