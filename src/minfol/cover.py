@@ -320,24 +320,32 @@ def leaf_genus_growth(d, per_point, k):
 
 def leaf_genus_growth_fibres(d, fibres, k):
     """General form of leaf_genus_growth: each branch point carries a
-    list of ramification indices >= 2 (unramified sheets implied)."""
+    list of ramification indices >= 2 (unramified sheets implied).
+
+    A point given the same list object as the point before it reuses
+    that list's checks and its chi step, so one fibre passed k times
+    is read once.
+    """
     _check_stages(d, k)
     if len(fibres) != k:
         raise DomainError("need one fibre per branch point")
     chi_sequence = []
     chi = d
+    last = None
     for i, fibre in enumerate(fibres, start=1):
-        if not fibre:
-            raise DomainError("point %d: no ramification indices" % i)
-        if any(e < 2 for e in fibre):
-            raise DomainError("point %d: ramification indices must be "
-                              ">= 2" % i)
-        used = sum(fibre)
-        if used > d:
-            raise DomainError(
-                "point %d: %d sheets ramify but the degree is %d"
-                % (i, used, d))
-        chi -= used - len(fibre)
+        if fibre is not last or i == 1:
+            if not fibre:
+                raise DomainError("point %d: no ramification indices" % i)
+            if any(e < 2 for e in fibre):
+                raise DomainError("point %d: ramification indices must be "
+                                  ">= 2" % i)
+            used = sum(fibre)
+            if used > d:
+                raise DomainError(
+                    "point %d: %d sheets ramify but the degree is %d"
+                    % (i, used, d))
+            last, step = fibre, used - len(fibre)
+        chi -= step
         chi_sequence.append(chi)
     bound = d - k
     for j, c in enumerate(chi_sequence, start=1):

@@ -15,6 +15,12 @@ congruential generator with state update
     state <- (6364136223846793005 * state + 1442695040888963407) mod 2^64
 
 picks generator index (state >> 33) mod len(gens) at every step.
+orbit_density draws these states _DRAW_LANES at a time by jump ahead:
+K updates take a state s to a^K s + c (a^K - 1)/(a - 1) mod 2^64, for
+a and c the multiplier and increment above, so one big-int multiply-add
+moves a block of states, one per lane of an int, on to the next block.
+The protocol, and so every orbit, is unchanged by it.
+
 Fixed points are accepted within 1e-9; map identities are accepted
 within 1e-6 on a 1024-point grid.  Both tolerances are quoted in the
 reports they decide.
@@ -22,6 +28,7 @@ reports they decide.
 
 import math
 import operator
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -35,6 +42,10 @@ GRID = 1024
 _LCG_MUL = 6364136223846793005
 _LCG_ADD = 1442695040888963407
 _LCG_MASK = (1 << 64) - 1
+# orbit_density draws this many LCG states per block, each in a 128-bit
+# lane of one int that a single multiply-add moves this many steps
+# ahead; a power of two, since the first block doubles up to it
+_DRAW_LANES = 1024
 
 
 @dataclass(frozen=True)
@@ -252,6 +263,50 @@ def _circle_step(gen):
     return gen.apply
 
 
+def _jump(steps):
+    """(A, C) with A s + C mod 2^64 the LCG state `steps` updates after s.
+
+    A = a^steps and C = c (a^steps - 1) / (a - 1), both mod 2^64.  The
+    power is taken mod (a - 1) 2^64, so it is still 1 mod a - 1 and the
+    division by a - 1 is exact.
+    """
+    p = pow(_LCG_MUL, steps, (_LCG_MUL - 1) << 64)
+    return p & _LCG_MASK, _LCG_ADD * ((p - 1) // (_LCG_MUL - 1)) & _LCG_MASK
+
+
+def _draws(seed, n):
+    """state >> 33 for the n LCG states after seed, one block at a time.
+
+    A block of consecutive states sits in one int x, a state per 128-bit
+    lane, the earliest in the lowest lane.  (A x + C ones) & lanes then
+    moves every lane the block's width ahead at once (ones has a 1 in
+    each lane, lanes 2^64 - 1): A s + C < 2^128 for s, A, C < 2^64, so
+    no lane carries into the next.  x >> 33 leaves s >> 33 in the low
+    64 bits of each lane, which a little-endian decode reads, skipping
+    the high 64.  The first block starts with one lane and doubles to
+    n or _DRAW_LANES lanes, so a short draw costs a few int operations
+    and a long one holds O(_DRAW_LANES) ints at a time.
+    """
+    if n < 1:
+        return
+    x = (_LCG_MUL * (seed & _LCG_MASK) + _LCG_ADD) & _LCG_MASK
+    ones = width = 1
+    while width < n and width < _DRAW_LANES:
+        a, c = _jump(width)
+        x |= ((a * x + c * ones) & ones * _LCG_MASK) << 128 * width
+        ones |= ones << 128 * width
+        width *= 2
+    decode = struct.Struct("<" + "Q8x" * width).unpack
+    size = 16 * width
+    a, c = _jump(width)
+    add, lanes = c * ones, ones * _LCG_MASK
+    while n > width:
+        yield decode((x >> 33).to_bytes(size, "little"))
+        n -= width
+        x = (a * x + add) & lanes
+    yield decode((x >> 33).to_bytes(size, "little"))[:n]
+
+
 @dataclass(frozen=True)
 class OrbitStats:
     n_steps: int
@@ -279,7 +334,10 @@ def orbit_density(gens, start, n, epsilon, seed):
     Applies n generators chosen by the seeded congruential protocol to
     the start point and reports the largest circular gap left by the
     visited points.  Deterministic for a fixed (gens, start, n, seed).
-    n above MAX_ORBIT_STEPS is refused before any step is taken.
+    The generator choices are the protocol's, drawn _DRAW_LANES at a
+    time by jump ahead (_draws), so the draws held at any time are one
+    block, not n.  n above MAX_ORBIT_STEPS is refused before any step
+    is taken.
     """
     gens = list(gens)
     if not gens:
@@ -295,15 +353,13 @@ def orbit_density(gens, start, n, epsilon, seed):
         raise DomainError("start point must be finite, got %r" % start)
     steps = [_circle_step(g) for g in gens]
     m = len(steps)
-    mul, add, mask = _LCG_MUL, _LCG_ADD, _LCG_MASK
-    state = seed & mask
     x = float(start) % 1.0
     points = [x]
     append = points.append
-    for _ in range(n):
-        state = (mul * state + add) & mask
-        x = steps[(state >> 33) % m](x)
-        append(x)
+    for block in _draws(seed, n):
+        for v in block:
+            x = steps[v % m](x)
+            append(x)
     points.sort()
     # the wrap-around gap, then the largest gap between neighbours
     max_gap = max(1.0 - points[-1] + points[0],
@@ -377,6 +433,12 @@ MAX_WORD_LENGTH = 16
 # for three of them), so the maps held are bounded too, at about 80 MB;
 # BS(1,2) holds 123,005 maps at length 16
 MAX_SEARCH_MAPS = 250_000
+# a map within max_len letters is x -> 2^k x + n/d with |k| at most the
+# largest generator |k| times max_len, and each letter shifts n or d by
+# its own |k| bits, so that product bounds the size of the search's ints
+# (with x -> 2^1000000 x + 1 the search took 25 s at max_len 3); BS(1,2)
+# reaches 16 at MAX_WORD_LENGTH
+MAX_SEARCH_EXPONENT = 1024
 
 
 def stabilizer_search(gens, x, max_len):
@@ -409,9 +471,10 @@ def stabilizer_search(gens, x, max_len):
     witnesses with equal linear part are distinct maps the tolerance
     cannot tell apart, and the search refuses them with DomainError.
     Cyclic evidence means every witness is an exact integer power of a
-    shortest primitive witness.  max_len above MAX_WORD_LENGTH is
-    refused before the search starts.  A ball of more than
-    MAX_SEARCH_MAPS maps is refused once the search holds that many and
+    shortest primitive witness.  max_len above MAX_WORD_LENGTH, and the
+    largest |k| among the generators times max_len above
+    MAX_SEARCH_EXPONENT, are refused before the search starts.  A ball
+    of more than MAX_SEARCH_MAPS maps is refused once the search holds that many and
     one more; the count is checked before each word is extended, so the
     search never holds more than 2 len(gens) - 1 maps past the limit.
     """
@@ -425,6 +488,12 @@ def stabilizer_search(gens, x, max_len):
         raise DomainError("word length %d is more than the %d that "
                           "stabilizer_search explores"
                           % (max_len, MAX_WORD_LENGTH))
+    top = max((abs(g.k) for g in gens), default=0)
+    if top * max_len > MAX_SEARCH_EXPONENT:
+        raise DomainError("exponent %d times word length %d is %d, more "
+                          "than the %d that stabilizer_search explores"
+                          % (top, max_len, top * max_len,
+                             MAX_SEARCH_EXPONENT))
     x = Fraction(x)
     p, q = x.numerator, x.denominator
     # the test |w(x) - x| < tol runs in integers: with w(x) = 2^k x + n/d

@@ -287,26 +287,33 @@ def test_pipeline_and_word_checks_survive_python_O(patch, argv, message):
 
 
 # stand-ins that break each certificate check of cover, torus3 and
-# holonomy; each case runs one command and puts the stand-in back
+# holonomy; each case runs one command, the last one library call, and
+# puts the stand-in back
 BROKEN_LIBRARY_CHECKS = textwrap.dedent("""
     import builtins, io, json
-    from contextlib import redirect_stderr, redirect_stdout
+    from contextlib import contextmanager, redirect_stderr, redirect_stdout
     from minfol import cli, cover, holonomy, torus3
+    from minfol.errors import InternalError
 
     MISSING = object()
 
-    def broken(owner, name, stand_in, argv):
+    @contextmanager
+    def swapped(owner, name, stand_in):
         real = getattr(owner, name, MISSING)
         setattr(owner, name, stand_in)
-        out, err = io.StringIO(), io.StringIO()
         try:
-            with redirect_stdout(out), redirect_stderr(err):
-                code = cli.run(argv)
+            yield
         finally:
             if real is MISSING:
                 delattr(owner, name)
             else:
                 setattr(owner, name, real)
+
+    def broken(owner, name, stand_in, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with swapped(owner, name, stand_in):
+            with redirect_stdout(out), redirect_stderr(err):
+                code = cli.run(argv)
         print(json.dumps([code, out.getvalue(), err.getvalue()]))
 
     broken(cover.CoverSpec, "chi", lambda self: 1,
@@ -319,10 +326,6 @@ BROKEN_LIBRARY_CHECKS = textwrap.dedent("""
     # a sum that counts entries: no fibre lowers chi
     broken(cover, "sum", len,
            ["cover", "growth", "--d", "6", "--per-point", "2,2", "--k", "2"])
-    # only the first fibre lowers chi
-    sums = iter([builtins.sum, len])
-    broken(cover, "sum", lambda xs: next(sums)(xs),
-           ["cover", "growth", "--d", "6", "--per-point", "2,2", "--k", "2"])
     broken(torus3, "classify", lambda A: None,
            ["torus3", "bundle", "--matrix", "2 1 1 1"])
     # a tolerance so wide that x -> x + 1 and x -> x - 1 both fix x:
@@ -330,6 +333,14 @@ BROKEN_LIBRARY_CHECKS = textwrap.dedent("""
     broken(holonomy, "FIXED_POINT_TOL", 2.0,
            ["holonomy", "stabilizer", "--gens", "aff:k=1,b=0;aff:k=0,b=1",
             "--x", "-1", "--max-len", "2"])
+    # only the first fibre lowers chi: the command passes one shared
+    # fibre, whose sum is read once, so two distinct lists are passed
+    sums = iter([builtins.sum, len])
+    with swapped(cover, "sum", lambda xs: next(sums)(xs)):
+        try:
+            cover.leaf_genus_growth_fibres(6, [[2, 2], [2, 2]], 2)
+        except InternalError as e:
+            print(json.dumps(["InternalError", str(e)]))
 """)
 
 BROKEN_LIBRARY_MESSAGES = [
@@ -338,7 +349,6 @@ BROKEN_LIBRARY_MESSAGES = [
     "characteristic 1",
     "the torus profile of the pillowcase cover gives chi = 2, not 0",
     "chi = 6 after 1 branch points exceeds d - 1 = 5",
-    "chi = 4 after 2 branch points does not drop below 4",
     "(2 1; 1 1) is classified as None, not periodic, parabolic or Anosov",
 ]
 TOLERANCE_REFUSAL = "domain error: two distinct affine maps with equal " \
@@ -348,7 +358,8 @@ TOLERANCE_REFUSAL = "domain error: two distinct affine maps with equal " \
 
 def test_cover_torus3_and_holonomy_checks_survive_python_O():
     # under -O every assert is stripped (the script's own assert False
-    # passes); each broken check still exits 3 with one stderr line
+    # passes); each broken check still exits 3 with one stderr line, and
+    # the library's own check still raises InternalError
     script = "assert False\n" + BROKEN_LIBRARY_CHECKS
     env = {k: v for k, v in os.environ.items()
            if not k.startswith(("MINFOL_", "PYTHONOPTIMIZE"))}
@@ -358,7 +369,10 @@ def test_cover_torus3_and_holonomy_checks_survive_python_O():
     assert (proc.returncode, proc.stderr) == (0, "")
     assert [json.loads(line) for line in proc.stdout.splitlines()] == \
         [[3, "", "internal error: %s\n" % m]
-         for m in BROKEN_LIBRARY_MESSAGES] + [[2, "", TOLERANCE_REFUSAL % 2.0]]
+         for m in BROKEN_LIBRARY_MESSAGES] + [
+            [2, "", TOLERANCE_REFUSAL % 2.0],
+            ["InternalError",
+             "chi = 4 after 2 branch points does not drop below 4"]]
 
 
 @pytest.mark.parametrize("gens,max_len", [
@@ -390,6 +404,11 @@ def test_stabilizer_refuses_witnesses_the_tolerance_cannot_separate(
       "--x", "-1", "--max-len", "3"],
      "words of length 3 reach more than the 17 maps that "
      "stabilizer_search explores"),
+    ("holonomy.MAX_SEARCH_EXPONENT", 10,
+     ["holonomy", "stabilizer", "--gens", "aff:k=1,b=0;aff:k=-4,b=1",
+      "--x", "-1", "--max-len", "3"],
+     "exponent 4 times word length 3 is 12, more than the 10 that "
+     "stabilizer_search explores"),
     ("cover.MAX_BRANCH_POINTS", 10,
      ["cover", "growth", "--d", "2", "--per-point", "1,2", "--k", "11"],
      "11 branch points is more than the 10 that leaf_genus_growth "
@@ -416,7 +435,8 @@ def test_stabilizer_refuses_witnesses_the_tolerance_cannot_separate(
     ("sl2z.MAX_WORD_TOKENS", 5,
      ["classify", "--matrix", "7 1 6 1"],
      "10 tokens is more than the 5 that decompose_st writes"),
-], ids=["orbit_steps", "stabilizer_max_len", "stabilizer_maps", "growth_k",
+], ids=["orbit_steps", "stabilizer_max_len", "stabilizer_maps",
+        "stabilizer_exponent", "growth_k",
         "pipeline_k", "double_n", "rotnum_steps", "cycle_label",
         "cycle_size", "pillowcase_squares", "classify_word"])
 def test_work_above_its_limit_exits_2_with_one_line(

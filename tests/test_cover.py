@@ -231,6 +231,36 @@ def test_leaf_growth_passes_one_fibre_list_for_a_reused_pair(monkeypatch):
     assert len({id(f) for f in seen[1]}) == 4
 
 
+def test_leaf_growth_reads_a_shared_fibre_once(monkeypatch):
+    sums = []
+
+    def counted(xs):
+        sums.append(len(xs))
+        return sum(xs)
+
+    monkeypatch.setattr(cover, "sum", counted, raising=False)
+    shared = [2] * 5
+    cert = leaf_genus_growth_fibres(10, [shared] * 4, 4)
+    assert cert.chi_sequence == (5, 0, -5, -10)
+    assert sums == [5]
+    # equal lists that are distinct objects are each read
+    assert leaf_genus_growth_fibres(10, [[2] * 5 for _ in range(4)], 4) == \
+        cert
+    assert sums == [5] * 5
+    # a list shared by points 2 and 3 is read at point 2, then again
+    # after another list comes between its uses
+    other = [3]
+    leaf_genus_growth_fibres(10, [other, shared, shared, other], 4)
+    assert sums == [5] * 5 + [1, 5, 1]
+    # a bad list is named at the first point that passes it
+    bad = [2, 1]
+    for fibres, point in (([bad] * 3, 1), ([shared, bad, bad], 2),
+                          ([shared, shared, bad], 3)):
+        with pytest.raises(DomainError, match="^point %d: ramification "
+                                              "indices must be" % point):
+            leaf_genus_growth_fibres(10, fibres, 3)
+
+
 def test_leaf_growth_mixed_fibres():
     cert = leaf_genus_growth_fibres(5, [[2, 2], [3]], 2)
     assert cert.chi_sequence == (3, 1)

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -167,6 +168,82 @@ def test_orbit_density_refuses_more_steps_than_the_limit(monkeypatch):
         orbit_density([Rotation(0.25)], 0.0, 51, 0.5, 0)
 
 
+def _lcg_draws(seed, n):
+    """state >> 33 for the n states after seed, one update at a time:
+    the generator protocol of the module docstring."""
+    state, out = seed & (2 ** 64 - 1), []
+    for _ in range(n):
+        state = (6364136223846793005 * state
+                 + 1442695040888963407) % 2 ** 64
+        out.append(state >> 33)
+    return out
+
+
+def _oracle_orbit(gens, start, n, epsilon, seed):
+    """The orbit gap with one LCG update per step, as orbit_density ran
+    before it drew its generator choices in blocks."""
+    steps = [holonomy._circle_step(g) for g in gens]
+    x = float(start) % 1.0
+    points = [x]
+    for v in _lcg_draws(seed, n):
+        x = steps[v % len(steps)](x)
+        points.append(x)
+    points.sort()
+    max_gap = max([1.0 - points[-1] + points[0]]
+                  + [b - a for a, b in zip(points, points[1:])])
+    return holonomy.OrbitStats(n_steps=n, max_gap=max_gap, epsilon=epsilon,
+                               epsilon_dense=max_gap < epsilon)
+
+
+def test_block_draws_equal_the_sequential_generator():
+    K = holonomy._DRAW_LANES
+    assert 512 <= K <= 2048
+    seeds = [0, 1, 2 ** 64 - 1, 2 ** 64 + 5, -3,
+             random.Random(23).randrange(2 ** 64)]
+    for n in (0, 1, 2, 7, K - 1, K, K + 1, 3 * K + 5):
+        for seed in seeds:
+            blocks = list(holonomy._draws(seed, n))
+            assert all(len(b) <= K for b in blocks)
+            assert [v for b in blocks for v in b] == _lcg_draws(seed, n)
+
+
+def test_orbit_density_equals_the_one_step_oracle():
+    # every kind of generator the circle step dispatches on, the scalar
+    # Mobius map among them, in sets of 1 to 4
+    kinds = ["rot:0.41421356", "dbl", "aff:k=0,b=1/3", "aff:k=1,b=-2/7",
+             "mob:2,1,1,1", "mob:0.6,-0.8,0.8,0.6", "mob:3,0,0,3"]
+    K = holonomy._DRAW_LANES
+    rng = random.Random(2023)
+    sets = [[kind] for kind in kinds] + [
+        rng.sample(kinds, rng.randrange(2, 5)) for _ in range(8)]
+    for specs in sets:
+        gens = [parse_generator(s) for s in specs]
+        for n in (1, 7, K - 1, K, K + 1, 2 * K + 3):
+            start, seed = rng.uniform(-3, 3), rng.randrange(2 ** 64)
+            assert orbit_density(gens, start, n, 0.05, seed) == \
+                _oracle_orbit(gens, start, n, 0.05, seed), (specs, n)
+
+
+def test_orbit_density_draws_in_memory_bounded_by_a_block():
+    # the orbit holds its n + 1 points; the draws add one block, and the
+    # sort at most n / 2 pointers (0.8 MB here), where a list of all n
+    # draws would add about 7 MB
+    n = 200_000
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    orbit = peak(lambda: orbit_density([Doubling(), Rotation(SQRT2M1)],
+                                       0.123, n, 0.5, 7))
+    floats = peak(lambda: [i / n for i in range(n + 1)])
+    assert orbit - floats < 1_000_000
+
+
 # ------------------------------------------------------------- stabilizer
 
 
@@ -301,6 +378,26 @@ def test_stabilizer_refuses_longer_words_than_the_limit(monkeypatch):
                        match="^word length 4 is more than the 3 that "):
         stabilizer_search(gens, Fraction(-1), 4)
     assert calls[0] == 0
+
+
+def test_stabilizer_refuses_exponents_above_the_limit(monkeypatch):
+    # BS(1,2) at the longest word, and k = 5 at length 6 as pinned
+    assert holonomy.MAX_SEARCH_EXPONENT >= max(holonomy.MAX_WORD_LENGTH, 30)
+    # x -> 2^1000000 x + 1 took 25 s at length 3 before it was refused
+    with pytest.raises(DomainError,
+                       match="^exponent 1000000 times word length 3 is "
+                             "3000000, more than the "):
+        stabilizer_search([AffineLine(10 ** 6, Fraction(1)),
+                           AffineLine(0, Fraction(1))], Fraction(1, 3), 3)
+    monkeypatch.setattr(holonomy, "MAX_SEARCH_EXPONENT", 12)
+    gens = [AffineLine(0, Fraction(1)), AffineLine(-4, Fraction(1))]
+    assert stabilizer_search(gens, Fraction(-1), 3).structure == "trivial"
+    # refused before any letter is built
+    monkeypatch.setattr(holonomy.AffineLine, "inverse", None)
+    with pytest.raises(DomainError,
+                       match="^exponent 4 times word length 4 is 16, more "
+                             "than the 12 that stabilizer_search explores$"):
+        stabilizer_search(gens, Fraction(-1), 4)
 
 
 def test_stabilizer_refuses_a_ball_above_the_map_limit(monkeypatch):
