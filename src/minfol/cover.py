@@ -236,9 +236,16 @@ def pillowcase_genus(d, a):
 
 def pillowcase_sphere_profile(d, a):
     """Degree-d profile over the sphere: gcd(d, a_i) points of index
-    d / gcd(d, a_i) over the i-th corner."""
+    d / gcd(d, a_i) over the i-th corner.  More than
+    permutations.MAX_POINTS ramification points are refused before any
+    fibre is built."""
     a = tuple(a)
     _pillowcase_check(d, a)
+    points = sum(gcd(d, ai) for ai in a)
+    if points > perms.MAX_POINTS:
+        raise DomainError("%d ramification points is more than the %d that "
+                          "pillowcase_sphere_profile lists"
+                          % (points, perms.MAX_POINTS))
     bps = []
     for i, ai in enumerate(a, start=1):
         g = gcd(d, ai)
@@ -286,7 +293,8 @@ def leaf_genus_growth(d, per_point, k):
     points 1..k where point i contributes d_i ramification points of
     index e_i.  per_point is a list of (d_i, e_i) pairs, either one per
     point or a single pair reused for every point, whose one fibre list
-    is then passed k times.  Returns the bound chi <= d - k together
+    is then passed k times.  A pair is read as its chi step d_i(e_i - 1),
+    not as its d_i indices.  Returns the bound chi <= d - k together
     with the full chi sequence, which decreases strictly.  k above
     MAX_BRANCH_POINTS is refused, and every pair is checked, d_i * e_i
     <= d too, before any fibre is built.
@@ -312,7 +320,10 @@ def leaf_genus_growth(d, per_point, k):
         if di * ei > d:
             raise DomainError("point %d: %d sheets ramify but the degree "
                               "is %d" % (i, di * ei, d))
-    fibres = [[ei] * di for di, ei in per_point]
+    # a fibre counts only through its chi step sum(e - 1) = d_i(e_i - 1),
+    # which the one index d_i(e_i - 1) + 1 has too; it passes the same
+    # checks, as it is at most d_i e_i, and takes no memory in d_i
+    fibres = [[di * (ei - 1) + 1] for di, ei in per_point]
     if len(fibres) == 1:
         fibres *= k               # one pair reused: one list, k times
     return leaf_genus_growth_fibres(d, fibres, k)

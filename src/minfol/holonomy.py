@@ -61,17 +61,11 @@ class Rotation:
     def apply(self, x):
         return (x + self.angle) % 1.0
 
-    def spec(self):
-        return "rot:%r" % self.angle
-
 
 @dataclass(frozen=True)
 class Doubling:
     def apply(self, x):
         return (2.0 * x) % 1.0
-
-    def spec(self):
-        return "dbl"
 
 
 @dataclass(frozen=True)
@@ -106,9 +100,6 @@ class Mobius:
                       self.a * other.b + self.b * other.d,
                       self.c * other.a + self.d * other.c,
                       self.c * other.b + self.d * other.d)
-
-    def spec(self):
-        return "mob:%r,%r,%r,%r" % (self.a, self.b, self.c, self.d)
 
 
 def _times_power_of_two(q, k):
@@ -149,7 +140,8 @@ class AffineLine:
             raise DomainError(
                 "affine maps with linear part below 1 do not act on R/Z")
         try:
-            scale, shift = float(1 << self.k), float(self.b)
+            # ldexp raises past 2^1023 without building 2^k
+            scale, shift = math.ldexp(1.0, self.k), float(self.b)
         except OverflowError:
             scale = shift = math.inf
         if not math.isfinite(scale + abs(shift)):
@@ -186,16 +178,29 @@ class AffineLine:
             return None
         return self.b / (1 - self.scale())
 
-    def spec(self):
-        return "aff:k=%d,b=%s" % (self.k, self.b)
+
+# Fraction builds 10^e for a decimal exponent e, so one beyond this is
+# refused first; it is Python's limit on the digits of an int in a str
+MAX_DECIMAL_EXPONENT = 4300
 
 
 def parse_rational(text):
-    """An exact rational from "3/7", "-1" or "0.5".
+    """An exact rational from "3/7", "-1", "0.5" or "2.5e-3".
 
-    A zero denominator is a DomainError; other malformed text raises
-    the ValueError that Fraction gives.
+    A zero denominator, or a decimal exponent beyond MAX_DECIMAL_EXPONENT
+    either way, is a DomainError; other malformed text raises the
+    ValueError that Fraction gives.
     """
+    _, e, exponent = text.lower().partition("e")
+    if e:
+        try:
+            exponent = int(exponent)
+        except ValueError:
+            exponent = 0     # not an exponent; Fraction refuses the text
+        if abs(exponent) > MAX_DECIMAL_EXPONENT:
+            raise DomainError("decimal exponent %d is beyond the +-%d that "
+                              "parse_rational reads"
+                              % (exponent, MAX_DECIMAL_EXPONENT))
     try:
         return Fraction(text)
     except ZeroDivisionError:

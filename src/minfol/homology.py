@@ -10,21 +10,23 @@ h_i + v_(right of i) - h_(above i) - v_i.
 
 H_1 is computed exactly from one chain-complex builder,
 `_chain_complex`, shared by `homology_basis` and `homology_rank`: it
-collapses a spanning tree of the 1-skeleton and writes the face
-boundaries B in the coordinates of the non-tree edges.  A cycle is the
-sum of the fundamental cycles of its non-tree edges, so it is fixed by
-its non-tree coordinates y, and the rank of H_1 is the number of
-non-tree edges minus rank B: one elimination.  The basis quotients the
-cycle space by the face boundaries through a Smith normal form of B
-and lifts the surviving generators back to integer edge vectors.  With
-U B V = D the Smith form of B and all r nonzero divisors equal to 1,
-the rows of V^-1 split into r that span the boundaries and 2g that are
-the basis cycles.  Only the column transform is used: the Smith form
-returns the divisors with V and V^-1, built by the inverse of each
-column operation, so no inversion is needed and U is never built.  The
-coordinates of a cycle in the basis are y . V[:, r:], an integer dot
-product, and `HomologyBasis.decompose` keeps those columns of V
-instead of solving.
+collapses a spanning tree of the 1-skeleton, kept once as the list of
+vertices in the order the sweep reaches them, each with the edge to its
+parent, and writes the face boundaries B in the coordinates of the
+non-tree edges.  A cycle is the sum of the fundamental cycles of its
+non-tree edges, so it is fixed by its non-tree coordinates y, and the
+rank of H_1 is the number of non-tree edges minus rank B: one
+elimination.  The basis quotients the cycle space by the face
+boundaries through a Smith normal form of B and lifts the surviving
+generators back to integer edge vectors.  With U B V = D the Smith form
+of B and all r nonzero divisors equal to 1, the rows of V^-1 split into
+r that span the boundaries and 2g that are the basis cycles; each is
+closed through the tree in one pass over the list, leaves first.  Only
+the column transform is used: the Smith form returns the divisors with
+V and V^-1, built by the inverse of each column operation, so no
+inversion is needed and U is never built.  The coordinates of a cycle
+in the basis are y . V[:, r:], an integer dot product, and
+`HomologyBasis.decompose` keeps those columns of V instead of solving.
 
 The action of a lift on H_1 is one `origami._walk` of its witness
 word: it carries the 2g basis cycles and the gluings through each run
@@ -165,60 +167,49 @@ def displacement(o, x):
     return (sum(x[:d]), sum(x[d:]))
 
 
-_Complex = namedtuple("_Complex", "ends nverts parent_edge parent_sign "
-                                  "nontree boundaries B")
+_Complex = namedtuple("_Complex", "ends nverts tree nontree boundaries B")
 
 
 def _chain_complex(o):
     """The cellular chain complex of o with a spanning tree collapsed.
 
-    Returns a _Complex: edge endpoints, the vertex count, the tree as
-    the edge and orientation leading from each vertex toward vertex 0,
-    the non-tree edges, the face boundaries, and the face boundaries in
+    Returns a _Complex: edge endpoints, the vertex count, the tree, the
+    non-tree edges, the face boundaries, and the face boundaries in
     non-tree coordinates (a cycle is fixed by those coordinates).  The
-    sweep takes the first edge, in edge order, that reaches a new
-    vertex, round after round; the basis cycles depend on that choice.
-    It stops as soon as the tree spans every vertex, and a surface with
-    one vertex is not swept at all: no edge could join the tree later.
+    tree is kept once, as (vertex, edge, orientation) triples in the
+    order the sweep reaches the vertices, so each vertex comes after its
+    parent; the orientation is 1 when the edge points away from vertex
+    0, the root, and -1 when it points toward it.  The sweep takes the
+    first edge, in edge order, that reaches a new vertex, round after
+    round; the basis cycles depend on that choice.  It stops as soon as
+    the tree spans every vertex, and a surface with one vertex is not
+    swept at all: no edge could join the tree later.
     """
     nverts, cls = _vertex_classes(o)
     ends = _edge_endpoints(o, cls)
 
-    # spanning tree of the 1-skeleton (connected since the origami is)
-    parent_edge = [None] * nverts
-    parent_sign = [0] * nverts
+    # spanning tree of the 1-skeleton (connected since the origami is);
+    # both ends of a tree edge are seen, so no edge joins it twice
+    tree = []
     seen = [False] * nverts
     seen[0] = True
-    reached = 1
-    grew = nverts > 1
-    tree = set()
-    while grew:
-        grew = False
+    while len(tree) < nverts - 1:
+        before = len(tree)
         for e, (t, h) in enumerate(ends):
-            if e in tree:
-                continue
-            if seen[t] and not seen[h]:
-                w, sgn = h, 1
-            elif seen[h] and not seen[t]:
-                w, sgn = t, -1
-            else:
-                continue
-            seen[w] = True
-            tree.add(e)
-            parent_edge[w] = e
-            parent_sign[w] = sgn
-            reached += 1
-            grew = reached < nverts
-            if not grew:
-                break
-    if reached < nverts:
-        raise InternalError("the 1-skeleton of %s is not connected" % (o,))
+            if seen[t] != seen[h]:
+                w, sgn = (h, 1) if seen[t] else (t, -1)
+                seen[w] = True
+                tree.append((w, e, sgn))
+                if len(tree) == nverts - 1:
+                    break
+        if len(tree) == before:
+            raise InternalError("the 1-skeleton of %s is not connected" % (o,))
 
-    nontree = [e for e in range(2 * o.d) if e not in tree]
+    in_tree = {e for _, e, _ in tree}
+    nontree = [e for e in range(2 * o.d) if e not in in_tree]
     boundaries = _face_boundary_vectors(o)
     B = [[bd[e] for e in nontree] for bd in boundaries]
-    return _Complex(ends, nverts, parent_edge, parent_sign, nontree,
-                    boundaries, B)
+    return _Complex(ends, nverts, tree, nontree, boundaries, B)
 
 
 def homology_basis(o):
@@ -226,23 +217,12 @@ def homology_basis(o):
 
     Returns HomologyBasis with rank = 2 * genus; the basis vectors are
     primitive integer edge vectors, and the intersection matrix, built
-    on first read, is antisymmetric with determinant one.
+    on first read, is antisymmetric with determinant one.  Each basis
+    cycle is closed through the tree in one pass over its vertices,
+    leaves first.
     """
     d = o.d
-    (ends, nverts, parent_edge, parent_sign, nontree, boundaries,
-     B) = _chain_complex(o)
-
-    # path from each vertex back to the root, as (edge, sign) steps
-    def path_to_root(v):
-        steps = []
-        while parent_edge[v] is not None:
-            e = parent_edge[v]
-            sgn = parent_sign[v]
-            steps.append((e, -sgn))  # against the parent edge, rootward
-            v = ends[e][0] if sgn == 1 else ends[e][1]
-        return steps
-
-    root_paths = [path_to_root(v) for v in range(nverts)]
+    ends, nverts, tree, nontree, boundaries, B = _chain_complex(o)
 
     diagonal, V, Vinv = la.smith_normal_form(B)
     divisors = [x for x in diagonal if x != 0]
@@ -252,9 +232,10 @@ def homology_basis(o):
     r = len(divisors)
     # B V = U^-1 D for a unimodular U, so the boundary lattice is
     # spanned by the first r rows of V^-1 and the quotient is generated
-    # by the remaining rows.  A row gives a cycle's non-tree edges; each
-    # is closed through the tree, head to root to tail, so the net
-    # coefficient at a vertex says how often its root path is walked
+    # by the remaining rows.  A row gives a cycle's non-tree edges; it is
+    # closed through the tree by moving each vertex's net coefficient
+    # along its tree edge to its parent, leaves first, so every child has
+    # passed its coefficient on before its parent's is moved
     basis = []
     for y in Vinv[r:]:
         vec = [0] * (2 * d)
@@ -265,10 +246,12 @@ def homology_basis(o):
                 t, h = ends[e]
                 net[h] += c
                 net[t] -= c
-        for path, c in zip(root_paths, net):
+        for w, e, sgn in reversed(tree):
+            c = net[w]
             if c:
-                for e, sgn in path:
-                    vec[e] += c * sgn
+                vec[e] -= sgn * c
+                t, h = ends[e]
+                net[t if sgn == 1 else h] += c
         basis.append(vec)
 
     rank = len(basis)

@@ -15,6 +15,7 @@ generate the group together with -I.
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
 
 from .errors import DomainError, InternalError
@@ -94,11 +95,25 @@ S_MAT = IntMatrix2(0, -1, 1, 0)
 T_MAT = IntMatrix2(1, 1, 0, 1)
 
 
+# _split_square tries divisors up to this one; a radicand that needs a
+# larger one is refused, before that divisor is tried
+MAX_TRIAL_DIVISOR = 10 ** 5
+
+
+# every QuadraticIrrational built from another reduces the same root
+# again, so the few roots of one classification are each split once
+@lru_cache(maxsize=64)
 def _split_square(n):
     """n = s*s*r with r squarefree; returns (s, r).  Trial division stops
-    at d**3 > n, leaving 1, p, p*q or p*p; isqrt tells p*p apart."""
-    s, r, d = 1, 1, 2
+    at d**3 > n, leaving 1, p, p*q or p*p; isqrt tells p*p apart.  A
+    divisor past MAX_TRIAL_DIVISOR is refused before it is tried."""
+    s, r, d, bits = 1, 1, 2, n.bit_length()
     while d * d * d <= n:
+        if d > MAX_TRIAL_DIVISOR:
+            raise DomainError("the square-free part of a %d-bit radicand "
+                              "needs trial division past the %d that "
+                              "QuadraticIrrational tries"
+                              % (bits, MAX_TRIAL_DIVISOR))
         e = 0
         while n % d == 0:
             n //= d
@@ -396,6 +411,10 @@ def _complete_unimodular(w):
 # like lambda^n, so (cat, 11) with 39,601 points passes and (cat, 12)
 # with 103,680 is refused
 MAX_PERIODIC_POINTS = 100000
+# a count that may have more bits than this is refused before A^n is
+# built: it is far above MAX_PERIODIC_POINTS, A^n would take long to
+# build, and the count could have more digits than a str may hold
+MAX_COUNT_BITS = 10000
 
 
 def periodic_points(A, n):
@@ -407,7 +426,9 @@ def periodic_points(A, n):
     = U^-1 D V^-1, the points are V (i/d1, j/d2) mod 1.  They are
     enumerated as integer numerators over the common denominator
     count = d1 d2, and a count above MAX_PERIODIC_POINTS is refused
-    before any is listed.
+    before any is listed.  The count is below |tr A|^n + 3, and n times
+    the bits of |tr A| above MAX_COUNT_BITS is refused before A^n is
+    built.
     """
     _check_sl2z(A)
     if n < 1:
@@ -415,6 +436,13 @@ def periodic_points(A, n):
     if not isinstance(classify(A), Anosov):
         raise DomainError("periodic point counting needs an Anosov matrix; "
                           "det(A^n - I) vanishes in the other classes")
+    # the count is at least lambda^n - 3 with lambda >= (3 + sqrt 5)/2,
+    # so past this it is far above MAX_PERIODIC_POINTS
+    if n * abs(A.trace()).bit_length() > MAX_COUNT_BITS:
+        raise DomainError("A^%d has far more than the %d fixed points "
+                          "that periodic_points lists: n times the bits "
+                          "of |tr A| is more than %d"
+                          % (n, MAX_PERIODIC_POINTS, MAX_COUNT_BITS))
     An = A ** n
     B = [[An.a - 1, An.b], [An.c, An.d - 1]]
     det = B[0][0] * B[1][1] - B[0][1] * B[1][0]

@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import textwrap
@@ -10,8 +11,12 @@ import pytest
 
 import minfol
 from minfol import cli
+from minfol import cover as cover_mod
+from minfol import holonomy as hol
 from minfol import homology as hom
 from minfol import origami as ori
+from minfol import permutations as perms
+from minfol import sl2z
 from minfol.cli import run
 from minfol.errors import InternalError
 
@@ -390,6 +395,11 @@ def test_stabilizer_refuses_witnesses_the_tolerance_cannot_separate(
     assert err == TOLERANCE_REFUSAL % 1e-9
 
 
+# (T^1001 S)^8, whose entries are near 10^24
+BIG_TRACE = "%d %d %d %d" % tuple(
+    x for row in ((sl2z.T_MAT ** 1001 * sl2z.S_MAT) ** 8).rows() for x in row)
+
+
 @pytest.mark.parametrize("constant,limit,argv,message", [
     ("holonomy.MAX_ORBIT_STEPS", 100,
      ["holonomy", "orbit", "--gens", "rot:0.1", "--steps", "101",
@@ -435,15 +445,47 @@ def test_stabilizer_refuses_witnesses_the_tolerance_cannot_separate(
     ("sl2z.MAX_WORD_TOKENS", 5,
      ["classify", "--matrix", "7 1 6 1"],
      "10 tokens is more than the 5 that decompose_st writes"),
+    # the rows below run at the real limits, which refuse them at once
+    ("sl2z.MAX_TRIAL_DIVISOR", 10 ** 5,
+     ["classify", "--matrix", BIG_TRACE],
+     "the square-free part of a 160-bit radicand needs trial division past "
+     "the 100000 that QuadraticIrrational tries"),
+    ("sl2z.MAX_COUNT_BITS", 10000,
+     ["classify", "--matrix", "2 1 1 1", "--periodic-points", "10000000"],
+     "A^10000000 has far more than the 100000 fixed points that "
+     "periodic_points lists: n times the bits of |tr A| is more than 10000"),
+    ("holonomy.MAX_DECIMAL_EXPONENT", 4300,
+     ["holonomy", "stabilizer", "--gens", "aff:k=1,b=0",
+      "--x", "1e10000000"],
+     "decimal exponent 10000000 is beyond the +-4300 that parse_rational "
+     "reads"),
+    ("holonomy.MAX_DECIMAL_EXPONENT", 4300,
+     ["torus3", "periods", "--vectors", "1e1_0000000,1;0,1"],
+     "decimal exponent 10000000 is beyond the +-4300 that parse_rational "
+     "reads"),
+    # no limit: 2^k past 2^1023 overflows, found without building 2^k
+    (None, None,
+     ["holonomy", "orbit", "--gens", "aff:k=1000000000,b=0",
+      "--steps", "10", "--eps", "0.1"],
+     "affine map with k=1000000000 overflows floating point on R/Z: "
+     "2^k + |b| must stay below 2^1024"),
+    ("permutations.MAX_POINTS", 10 ** 5,
+     ["cover", "pillowcase", "--d", "3000000",
+      "--a", "3000000,3000000,1,2999999"],
+     "6000002 ramification points is more than the 100000 that "
+     "pillowcase_sphere_profile lists"),
 ], ids=["orbit_steps", "stabilizer_max_len", "stabilizer_maps",
         "stabilizer_exponent", "growth_k",
         "pipeline_k", "double_n", "rotnum_steps", "cycle_label",
-        "cycle_size", "pillowcase_squares", "classify_word"])
+        "cycle_size", "pillowcase_squares", "classify_word",
+        "classify_trace", "periodic_points_bits", "stabilizer_exponent_e",
+        "periods_exponent_e", "orbit_aff_k", "sphere_profile_points"])
 def test_work_above_its_limit_exits_2_with_one_line(
         capsys, monkeypatch, constant, limit, argv, message):
     # the limits are lowered here, so no test runs a huge input
-    module, name = constant.split(".")
-    monkeypatch.setattr(getattr(minfol, module), name, limit)
+    if constant:
+        module, name = constant.split(".")
+        monkeypatch.setattr(getattr(minfol, module), name, limit)
     code, out, err = invoke(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == "domain error: %s\n" % message
@@ -468,6 +510,108 @@ def test_bad_input_exits_2_with_one_line(capsys, argv, message):
     code, out, err = invoke(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == "domain error: %s\n" % message
+
+
+# ------------------------------------------------------------------ fuzz
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+# flag values to draw from: signs, zero, huge and malformed numbers, and
+# an integer one digit past what int() reads from a str
+FUZZ_MENU = ("0", "-1", str(10 ** 12), "1e10000000", "nan", "inf", "", "x",
+             "1/0", "1" + "0" * 4300)
+FUZZ_CASES = 24
+# inputs that once ran for seconds or took hundreds of MB
+FUZZ_FIXED = [
+    ["classify", "--matrix", BIG_TRACE],
+    ["classify", "--matrix", "2 1 1 1", "--periodic-points", "10000000"],
+    ["holonomy", "stabilizer", "--gens", "aff:k=1,b=0", "--x", "1e10000000"],
+    ["holonomy", "orbit", "--gens", "aff:k=1000000000,b=0", "--steps", "10",
+     "--eps", "0.1"],
+    ["cover", "growth", "--d", "100000000", "--per-point", "50000000,2",
+     "--k", "1"],
+    ["cover", "pillowcase", "--d", "3000000",
+     "--a", "3000000,3000000,1,2999999"],
+]
+
+
+def first_passing_golden(path):
+    """(argv, env) of the first golden case, by name, that runs the
+    command path and exits 0."""
+    words = path.split()
+    for case in sorted(GOLDEN.glob("*.json")):
+        g = json.loads(case.read_text())
+        if g["exit"] == 0 and \
+                [a for a in g["argv"] if a != "--tsv"][:len(words)] == words:
+            return g["argv"], g["env"]
+    raise LookupError("no passing golden case runs %r" % path)
+
+
+def lower_limits(monkeypatch):
+    for module in (cover_mod, hol, perms, sl2z):
+        for name, value in list(vars(module).items()):
+            if name.startswith("MAX_"):
+                monkeypatch.setattr(module, name, min(value, 10 ** 4))
+
+
+def check_outcome(capsys, argv):
+    """(exit code, stderr), once the outcome is checked: a nonzero exit
+    prints one stderr line and no report, a zero exit a JSON report or
+    TSV rows of JSON values."""
+    code, out, err = invoke(capsys, *argv)
+    assert code in (0, 1, 2, 3), (argv, code)
+    if code:
+        assert out == "" and err.count("\n") == 1 and err.endswith("\n"), \
+            (argv, err)
+    elif "--tsv" in argv:
+        for row in out.splitlines():
+            _, value = row.split("\t")
+            json.loads(value)
+    else:
+        json.loads(out)
+    return code, err
+
+
+def fuzzed(argv, rng):
+    """argv with one or two flag values replaced by menu draws."""
+    argv = list(argv)
+    flags = [a.startswith("--") and a != "--tsv" for a in argv]
+    # a value is a --flag=value token or the token after a bare --flag
+    slots = [i for i, a in enumerate(argv)
+             if flags[i] and "=" in a
+             or i and flags[i - 1] and "=" not in argv[i - 1]]
+    for i in rng.sample(slots, min(len(slots), rng.choice((1, 2)))):
+        value = rng.choice(FUZZ_MENU)
+        argv[i] = argv[i].partition("=")[0] + "=" + value if flags[i] \
+            else value
+    return argv
+
+
+@pytest.mark.parametrize("path", [row[0] for row in cli.COMMANDS])
+def test_fuzzed_flag_values_exit_0_to_3_with_one_line_or_a_report(
+        capsys, monkeypatch, path):
+    argv, env = first_passing_golden(path)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    lower_limits(monkeypatch)
+    assert check_outcome(capsys, argv)[0] == 0
+    rng = random.Random("fuzz " + path)
+    for _ in range(FUZZ_CASES):
+        check_outcome(capsys, fuzzed(argv, rng))
+
+
+@pytest.mark.parametrize("argv", FUZZ_FIXED,
+                         ids=["classify_trace", "periodic_points",
+                              "decimal_exponent", "orbit_aff_k",
+                              "growth_pair", "sphere_profile"])
+def test_fuzz_fixed_rows_answer_or_refuse_in_one_line(capsys, monkeypatch,
+                                                       argv):
+    lower_limits(monkeypatch)
+    expected = 0 if argv[:2] == ["cover", "growth"] else 2
+    code, err = check_outcome(capsys, argv)
+    assert code == expected
+    # no refusal formats an int past the digits a str may hold
+    assert "Exceeds the limit" not in err
 
 
 def dividing_by_zero(args, inputs):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -186,6 +187,17 @@ def test_pillowcase_rejects_bad_parameters():
         pillowcase_genus(0, (1, 1, 1, 1))
 
 
+def test_sphere_profile_refuses_more_points_than_max_points(monkeypatch):
+    # gcd(12, a_i) = 4, 4, 3, 1: twelve ramification points
+    monkeypatch.setattr(perms, "MAX_POINTS", 12)
+    prof = pillowcase_sphere_profile(12, (4, 4, 3, 1))
+    assert sum(len(bp.fibre) for bp in prof.branch_points) == 12
+    monkeypatch.setattr(perms, "MAX_POINTS", 11)
+    with pytest.raises(DomainError, match="^12 ramification points is more "
+                       "than the 11 that pillowcase_sphere_profile lists$"):
+        pillowcase_sphere_profile(12, (4, 4, 3, 1))
+
+
 def test_pillowcase_degree_zero_is_refused_before_any_modulus():
     from minfol.origami import pillowcase_origami
     for build in (pillowcase_genus, pillowcase_sphere_profile,
@@ -225,10 +237,42 @@ def test_leaf_growth_passes_one_fibre_list_for_a_reused_pair(monkeypatch):
     cert = leaf_genus_growth(10, (5, 2), 4)
     assert cert.chi_sequence == (5, 0, -5, -10)
     assert len(seen[0]) == 4 and len({id(f) for f in seen[0]}) == 1
-    assert seen[0][0] == [2] * 5
+    # the pair (5, 2) is read as its chi step 5 (2 - 1): one index 6
+    assert seen[0][0] == [6]
     # pairs given one per point keep one list each
     assert leaf_genus_growth(10, [(5, 2)] * 4, 4) == cert
     assert len({id(f) for f in seen[1]}) == 4
+
+
+def test_leaf_growth_reads_a_pair_as_its_chi_step():
+    # the fibre [e_i] * d_i gives the same sequences and messages
+    rng = random.Random(24)
+    for _ in range(300):
+        d, k = rng.randint(1, 30), rng.randint(1, 6)
+        pairs = [(rng.randint(1, 8), rng.randint(2, 6))
+                 for _ in range(rng.choice((1, k)))]
+        try:
+            got = leaf_genus_growth(d, pairs, k)
+        except DomainError as exc:
+            got = str(exc)
+        fibres = [[ei] * di for di, ei in pairs] * (k // len(pairs))
+        try:
+            want = leaf_genus_growth_fibres(d, fibres, k)
+        except DomainError as exc:
+            want = str(exc)
+        assert got == want, (d, pairs, k)
+
+
+def test_leaf_growth_builds_no_fibre_of_d_i_indices():
+    # [2] * 5 * 10^7 would be a 400 MB list
+    tracemalloc.start()
+    try:
+        cert = leaf_genus_growth(10 ** 8, (5 * 10 ** 7, 2), 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.chi_sequence == (5 * 10 ** 7,)
+    assert peak < 1_000_000
 
 
 def test_leaf_growth_reads_a_shared_fibre_once(monkeypatch):

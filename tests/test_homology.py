@@ -258,7 +258,20 @@ def test_early_stopping_sweep_builds_the_round_sweep_tree():
     nverts = set()
     for o in origamis:
         cx = _chain_complex(o)
-        assert (cx.parent_edge, cx.parent_sign, cx.nontree) == \
+        # the parent arrays, read off the reach-ordered tree, in which
+        # each vertex comes after its parent
+        parent_edge = [None] * cx.nverts
+        parent_sign = [0] * cx.nverts
+        reached = {0}
+        for w, e, sgn in cx.tree:
+            t, h = cx.ends[e]
+            parent = t if sgn == 1 else h
+            assert w == t + h - parent and w not in reached, o
+            assert parent in reached, o
+            reached.add(w)
+            parent_edge[w] = e
+            parent_sign[w] = sgn
+        assert (parent_edge, parent_sign, cx.nontree) == \
             round_sweep_tree(cx.ends, cx.nverts), o
         nverts.add(cx.nverts)
     # one-vertex surfaces, which are not swept, and trees of many edges

@@ -140,6 +140,40 @@ def test_split_square_matches_brute_force():
         assert sl2z._split_square(n) == (s, n // (s * s)), n
 
 
+
+def test_split_square_refuses_past_its_trial_divisor(monkeypatch):
+    monkeypatch.setattr(sl2z, "MAX_TRIAL_DIVISOR", 100)
+    sl2z._split_square.cache_clear()
+    # 10007 * 10009 is left whole until d^3 > n, near d = 465
+    with pytest.raises(DomainError, match="^the square-free part of a "
+                       "27-bit radicand needs trial division past the 100 "
+                       "that QuadraticIrrational tries$"):
+        sl2z._split_square(10007 * 10009)
+    # stopping at d = 22 < 100 is within the limit
+    assert sl2z._split_square(3 * 101 ** 2) == (101, 3)
+    sl2z._split_square.cache_clear()
+
+
+def test_classify_splits_each_root_once():
+    sl2z._split_square.cache_clear()
+    classify(CAT)                                    # every root is 5
+    info = sl2z._split_square.cache_info()
+    assert (info.misses, info.hits) == (1, 6)
+    sl2z._split_square.cache_clear()
+    c = classify(IntMatrix2(5, 2, 2, 1))             # trace 6, root 32
+    assert c.stretch == QuadraticIrrational(3, 2, 2)
+    assert sl2z._split_square.cache_info().misses == 2   # 32, then 2
+
+
+def test_classify_refuses_a_radicand_beyond_the_trial_divisor():
+    # (T^1001 S)^8 has entries near 10^24; trial division to the cube
+    # root of its t^2 - 4 would not end in any useful time
+    A = (T ** 1001 * S) ** 8
+    with pytest.raises(DomainError, match="160-bit radicand needs trial "
+                       "division past the 100000 that"):
+        classify(A)
+
+
 # ----------------------------------------------------------- decomposing
 
 
@@ -300,6 +334,27 @@ def test_periodic_points_refuses_more_than_the_limit(monkeypatch):
     assert periodic_points(CAT, 2)[0] == 5        # at the limit: listed
     with pytest.raises(DomainError, match="more than the 5"):
         periodic_points(CAT, 3)                   # 16 points
+
+
+def test_periodic_points_refuses_a_long_count_before_the_power(
+        monkeypatch):
+    def no_power(A, n):
+        raise AssertionError("A^%d was built" % n)
+
+    with monkeypatch.context() as m:
+        m.setattr(IntMatrix2, "__pow__", no_power)
+        for n in (5001, 10 ** 7, 10 ** 12):
+            with pytest.raises(DomainError) as exc:
+                periodic_points(CAT, n)
+            assert str(exc.value) == (
+                "A^%d has far more than the 100000 fixed points that "
+                "periodic_points lists: n times the bits of |tr A| is more "
+                "than 10000" % n)
+    # cat has a 2-bit trace: n = 10 is within 20 bits, n = 11 is not
+    monkeypatch.setattr(sl2z, "MAX_COUNT_BITS", 20)
+    assert periodic_points(CAT, 10)[0] == 15125
+    with pytest.raises(DomainError, match="more than 20$"):
+        periodic_points(CAT, 11)
 
 
 def test_periodic_points_certificate_checks(monkeypatch):
