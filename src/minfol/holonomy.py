@@ -21,13 +21,21 @@ a and c the multiplier and increment above, so one big-int multiply-add
 moves a block of states, one per lane of an int, on to the next block.
 The protocol, and so every orbit, is unchanged by it.
 
+stabilizer_search builds the ball of group elements within max_len
+letters once per (generators, max_len, MAX_SEARCH_MAPS) and keeps the
+one ball last built, about 26 MB after a BS(1,2) search at max_len 16;
+each point is then one scan of it.  A first search, or one with other
+generators, costs what building the ball costs.
+
 Fixed points are accepted within 1e-9; map identities are accepted
 within 1e-6 on a 1024-point grid.  Both tolerances are quoted in the
 reports they decide.
 """
 
+import functools
 import math
 import operator
+import re
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -182,15 +190,32 @@ class AffineLine:
 # Fraction builds 10^e for a decimal exponent e, so one beyond this is
 # refused first; it is Python's limit on the digits of an int in a str
 MAX_DECIMAL_EXPONENT = 4300
+# int() refuses a str of more digits than this in Python's own words, so
+# a longer run of digits is refused first, underscores counted with them
+MAX_LITERAL_DIGITS = 4300
+
+
+def _check_digit_runs(text, reader):
+    """Refuse text with a run of digits and underscores longer than
+    MAX_LITERAL_DIGITS, before int() or Fraction reads it."""
+    if len(text) <= MAX_LITERAL_DIGITS:
+        return
+    run = max(map(len, re.findall(r"[\d_]+", text)), default=0)
+    if run > MAX_LITERAL_DIGITS:
+        raise DomainError("a run of %d digits or underscores is more than "
+                          "the %d that %s reads"
+                          % (run, MAX_LITERAL_DIGITS, reader))
 
 
 def parse_rational(text):
     """An exact rational from "3/7", "-1", "0.5" or "2.5e-3".
 
-    A zero denominator, or a decimal exponent beyond MAX_DECIMAL_EXPONENT
-    either way, is a DomainError; other malformed text raises the
-    ValueError that Fraction gives.
+    A zero denominator, a run of more than MAX_LITERAL_DIGITS digits
+    anywhere in the text, or a decimal exponent beyond
+    MAX_DECIMAL_EXPONENT either way, is a DomainError; other malformed
+    text raises the ValueError that Fraction gives.
     """
+    _check_digit_runs(text, "parse_rational")
     _, e, exponent = text.lower().partition("e")
     if e:
         try:
@@ -231,6 +256,7 @@ def parse_generator(text):
         for piece in text[4:].split(","):
             key, _, val = piece.partition("=")
             if key.strip() == "k":
+                _check_digit_runs(val, "parse_generator")
                 k = int(val)
             elif key.strip() == "b":
                 b = parse_rational(val.strip())
@@ -431,8 +457,9 @@ class StabilizerReport:
 
 
 # the ball searched by stabilizer_search grows exponentially in the word
-# length (about 1.75-fold per letter for BS(1,2), 8.3 s at length 11),
-# so longer words are refused
+# length (about 1.75-fold per letter for BS(1,2); building it takes about
+# 0.01 s at length 11 and 0.2 s at length 16 on a 2-vCPU Xeon), so longer
+# words are refused
 MAX_WORD_LENGTH = 16
 # with more generators the ball grows faster (about 2.7-fold per letter
 # for three of them), so the maps held are bounded too, at about 80 MB;
@@ -444,6 +471,59 @@ MAX_SEARCH_MAPS = 250_000
 # (with x -> 2^1000000 x + 1 the search took 25 s at max_len 3); BS(1,2)
 # reaches 16 at MAX_WORD_LENGTH
 MAX_SEARCH_EXPONENT = 1024
+
+
+@functools.lru_cache(maxsize=1)
+def _ball(gens, max_len, limit):
+    """(ball, tripped): the maps within max_len letters of the tuple of
+    generators gens, in breadth-first order, and whether the ball holds
+    more than limit maps.
+
+    ball is a dict from each map's reduced triple (k, n, d) to the first
+    word that reaches it, identity first; stabilizer_search describes
+    the order and the words.  The count is checked before each word is
+    extended, and the search stops at the first check over the limit,
+    so the dict then holds the maps found up to that point.  The one
+    ball held is shared by every search with the same generators, word
+    length and limit, which must not change it.
+    """
+    gcd = math.gcd
+    # letter i is (i, k, n, d); letters i and i ^ 1 are mutually inverse
+    letters = [(i, f.k, f.b.numerator, f.b.denominator)
+               for i, f in enumerate(h for g in gens
+                                     for h in (g, g.inverse()))]
+    # a word is (letter index, rest of the word) from the left, () for
+    # the empty word; the frontier holds the keys of the newest level
+    ball = {(0, 0, 1): ()}
+    frontier = [(0, 0, 1)]
+    for _ in range(max_len):
+        nxt = []
+        for k0, n0, d0 in frontier:
+            if len(ball) > limit:
+                return ball, True
+            word = ball[k0, n0, d0]
+            cancel = word[0] ^ 1 if word else -1
+            for i, k1, n1, d1 in letters:
+                if i == cancel:
+                    continue  # immediate cancellation
+                # the new letter acts after the present word, so it
+                # lands on the left: 2^k1 n0/d0 + n1/d1
+                if k1 >= 0:
+                    n, d = (n0 << k1) * d1 + n1 * d0, d0 * d1
+                else:
+                    n, d = n0 * d1 + (n1 * d0 << -k1), (d0 << -k1) * d1
+                g = gcd(n, d)
+                if g != 1:
+                    n //= g
+                    d //= g
+                k = k0 + k1
+                key = (k, n, d)
+                if key in ball:
+                    continue
+                ball[key] = (i, word)
+                nxt.append(key)
+        frontier = nxt
+    return ball, len(ball) > limit
 
 
 def stabilizer_search(gens, x, max_len):
@@ -469,6 +549,13 @@ def stabilizer_search(gens, x, max_len):
     PseudogroupWord and AffineLine of a map are built only for
     witnesses.
 
+    The ball depends only on the generators, so it is built once per
+    (generators, max_len, MAX_SEARCH_MAPS) by _ball, and each x is then
+    one scan of it in breadth-first order.  One ball is held between
+    calls, about 26 MB after a BS(1,2) search at max_len 16; a search
+    with other generators, length or limit replaces it, and costs what
+    building the ball costs, as a first search does.
+
     x is handled exactly (floats convert to their exact binary
     fraction); a word counts as a witness when |w(x) - x| < 1e-9, and
     the residual of the worst accepted witness is reported.  An affine
@@ -479,11 +566,14 @@ def stabilizer_search(gens, x, max_len):
     shortest primitive witness.  max_len above MAX_WORD_LENGTH, and the
     largest |k| among the generators times max_len above
     MAX_SEARCH_EXPONENT, are refused before the search starts.  A ball
-    of more than MAX_SEARCH_MAPS maps is refused once the search holds that many and
-    one more; the count is checked before each word is extended, so the
-    search never holds more than 2 len(gens) - 1 maps past the limit.
+    of more than MAX_SEARCH_MAPS maps is refused once the search holds
+    that many and one more; the count is checked before each word is
+    extended, so the search never holds more than 2 len(gens) - 1 maps
+    past the limit.  The maps found before that refusal are scanned
+    first, so two equal-linear-part witnesses among them are refused as
+    such, as a search that tests each map as it finds it would.
     """
-    gens = list(gens)
+    gens = tuple(gens)
     for g in gens:
         if not isinstance(g, AffineLine):
             raise DomainError("stabilizer search runs in the affine model")
@@ -500,78 +590,40 @@ def stabilizer_search(gens, x, max_len):
                           % (top, max_len, top * max_len,
                              MAX_SEARCH_EXPONENT))
     x = Fraction(x)
+    ball, tripped = _ball(gens, max_len, MAX_SEARCH_MAPS)
     p, q = x.numerator, x.denominator
     # the test |w(x) - x| < tol runs in integers: with w(x) = 2^k x + n/d
     # and tol = tn/td, it reads |e| td < tn f for w(x) - x = e/f
     tol = Fraction(FIXED_POINT_TOL)
     tn, td = tol.numerator, tol.denominator
-    gcd = math.gcd
     names = [(idx, power) for idx in range(len(gens)) for power in (1, -1)]
-    # letter i is (i, k, n, d); letters i and i ^ 1 are mutually inverse
-    letters = [(i, f.k, f.b.numerator, f.b.denominator)
-               for i, f in enumerate(h for g in gens
-                                     for h in (g, g.inverse()))]
-
-    def too_many():
-        return DomainError("words of length %d reach more than the %d maps "
-                           "that stabilizer_search explores"
-                           % (max_len, MAX_SEARCH_MAPS))
-
-    seen = {(0, 0, 1)}
     witnesses = []
     residual = 0.0
-    # a word is (letter index, rest of the word) from the left, () for
-    # the empty word; a frontier entry is (word, k, n, d)
-    frontier = [((), 0, 0, 1)]
-    for _ in range(max_len):
-        nxt = []
-        for word, k0, n0, d0 in frontier:
-            if len(seen) > MAX_SEARCH_MAPS:
-                raise too_many()
-            cancel = word[0] ^ 1 if word else -1
-            for i, k1, n1, d1 in letters:
-                if i == cancel:
-                    continue  # immediate cancellation
-                # the new letter acts after the present word, so it
-                # lands on the left: 2^k1 n0/d0 + n1/d1
-                if k1 >= 0:
-                    n, d = (n0 << k1) * d1 + n1 * d0, d0 * d1
-                else:
-                    n, d = n0 * d1 + (n1 * d0 << -k1), (d0 << -k1) * d1
-                g = gcd(n, d)
-                if g != 1:
-                    n //= g
-                    d //= g
-                k = k0 + k1
-                key = (k, n, d)
-                if key in seen:
-                    continue
-                seen.add(key)
-                new = (i, word)
-                nxt.append((new, k, n, d))
-                if k >= 0:
-                    e, f = ((p << k) - p) * d + n * q, q * d
-                else:
-                    e, f = (p - (p << -k)) * d + (n * q << -k), q * d << -k
-                if abs(e) * td < tn * f:
-                    # a translation witness meets its inverse, of equal
-                    # length and residual, so no primitive has k = 0
-                    if any(w.composite.k == k for w in witnesses):
-                        raise DomainError(
-                            "two distinct affine maps with equal linear "
-                            "part fix x within the tolerance %r, which "
-                            "cannot tell them apart" % FIXED_POINT_TOL)
-                    spelled = []
-                    while new:
-                        spelled.append(names[new[0]])
-                        new = new[1]
-                    witnesses.append(PseudogroupWord(
-                        tuple(spelled), AffineLine(k, Fraction(n, d))))
-                    # int / int rounds correctly, as float(Fraction) does
-                    residual = max(residual, abs(e) / f)
-        frontier = nxt
-    if len(seen) > MAX_SEARCH_MAPS:
-        raise too_many()
+    for (k, n, d), word in islice(ball.items(), 1, None):  # skip identity
+        if k >= 0:
+            e, f = ((p << k) - p) * d + n * q, q * d
+        else:
+            e, f = (p - (p << -k)) * d + (n * q << -k), q * d << -k
+        if abs(e) * td < tn * f:
+            # a translation witness meets its inverse, of equal length
+            # and residual, so no primitive has k = 0
+            if any(w.composite.k == k for w in witnesses):
+                raise DomainError(
+                    "two distinct affine maps with equal linear part fix x "
+                    "within the tolerance %r, which cannot tell them apart"
+                    % FIXED_POINT_TOL)
+            spelled = []
+            while word:
+                spelled.append(names[word[0]])
+                word = word[1]
+            witnesses.append(PseudogroupWord(
+                tuple(spelled), AffineLine(k, Fraction(n, d))))
+            # int / int rounds correctly, as float(Fraction) does
+            residual = max(residual, abs(e) / f)
+    if tripped:
+        raise DomainError("words of length %d reach more than the %d maps "
+                          "that stabilizer_search explores"
+                          % (max_len, MAX_SEARCH_MAPS))
 
     if not witnesses:
         return StabilizerReport((), "trivial", None, None, 0.0)

@@ -532,6 +532,11 @@ FUZZ_FIXED = [
      "--k", "1"],
     ["cover", "pillowcase", "--d", "3000000",
      "--a", "3000000,3000000,1,2999999"],
+    # literals one digit past what int() reads from a str
+    ["torus3", "periods", "--vectors", "1" * 4301 + ",1;0,1"],
+    ["holonomy", "stabilizer", "--gens", "aff:k=1,b=0", "--x", "1" * 4301],
+    ["holonomy", "stabilizer", "--gens", "aff:k=%s,b=0" % ("1" * 4301),
+     "--x", "0"],
 ]
 
 
@@ -560,6 +565,8 @@ def check_outcome(capsys, argv):
     TSV rows of JSON values."""
     code, out, err = invoke(capsys, *argv)
     assert code in (0, 1, 2, 3), (argv, code)
+    # no refusal formats an int past the digits a str may hold
+    assert "Exceeds the limit" not in err, (argv, err)
     if code:
         assert out == "" and err.count("\n") == 1 and err.endswith("\n"), \
             (argv, err)
@@ -603,15 +610,15 @@ def test_fuzzed_flag_values_exit_0_to_3_with_one_line_or_a_report(
 @pytest.mark.parametrize("argv", FUZZ_FIXED,
                          ids=["classify_trace", "periodic_points",
                               "decimal_exponent", "orbit_aff_k",
-                              "growth_pair", "sphere_profile"])
+                              "growth_pair", "sphere_profile",
+                              "periods_literal", "stabilizer_x_literal",
+                              "aff_k_literal"])
 def test_fuzz_fixed_rows_answer_or_refuse_in_one_line(capsys, monkeypatch,
                                                        argv):
     lower_limits(monkeypatch)
     expected = 0 if argv[:2] == ["cover", "growth"] else 2
     code, err = check_outcome(capsys, argv)
     assert code == expected
-    # no refusal formats an int past the digits a str may hold
-    assert "Exceeds the limit" not in err
 
 
 def dividing_by_zero(args, inputs):

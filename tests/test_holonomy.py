@@ -111,6 +111,34 @@ def test_parse_rational_refuses_a_decimal_exponent_beyond_the_limit(
         parse_rational("1e4")
 
 
+def test_a_literal_longer_than_the_limit_is_refused_before_int_reads_it(
+        monkeypatch):
+    digits = "1" * 4301
+    assert parse_rational(digits[1:]) == int(digits[1:])
+    assert parse_rational("1" * 3000 + "." + "1" * 3000) > 10 ** 2999
+    for text, run in ((digits, 4301), ("-3/" + digits, 4301),
+                      ("1e" + "0" * 4301, 4301), ("1_" * 2200, 4400),
+                      ("\u0663" * 4301, 4301)):
+        with pytest.raises(DomainError, match="^a run of %d digits or "
+                           "underscores is more than the 4300 that "
+                           "parse_rational reads$" % run):
+            parse_rational(text)
+    with pytest.raises(DomainError, match="^a run of 4301 digits or "
+                       "underscores is more than the 4300 that "
+                       "parse_generator reads$"):
+        parse_generator("aff:k=%s,b=0" % digits)
+    with pytest.raises(DomainError, match="a run of 4301 digits .* "
+                       "parse_rational reads$"):
+        parse_generator("aff:k=1,b=%s" % digits)
+    monkeypatch.setattr(holonomy, "MAX_LITERAL_DIGITS", 3)
+    assert parse_rational("123/456") == Fraction(41, 152)
+    assert parse_generator("aff:k=-12,b=0") == AffineLine(-12, Fraction(0))
+    with pytest.raises(DomainError, match="run of 4 digits .* the 3 that"):
+        parse_rational("1.2345")
+    with pytest.raises(DomainError, match="run of 4 digits .* the 3 that"):
+        parse_generator("aff:k=1000,b=0")
+
+
 def test_circle_parts_refuse_a_huge_exponent_without_building_2_to_the_k():
     # 1 << 10^9 would be a 125 MB int
     tracemalloc.start()
@@ -389,7 +417,8 @@ def test_stabilizer_search_explores_distinct_maps_only(monkeypatch):
     # BS(1,2) has 7,667 elements within radius 11, against 354,292
     # reduced words, and the search composes only extensions of the
     # first word to reach each element; each of the 7,666 besides the
-    # identity is composed at least once
+    # identity is composed at least once, in a cold search
+    holonomy._ball.cache_clear()
     calls = _count_gcd(monkeypatch)
     gens = [AffineLine(1, Fraction(0)), AffineLine(0, Fraction(1))]
     rep = stabilizer_search(gens, Fraction(-1), 11)
@@ -402,6 +431,7 @@ def test_stabilizer_refuses_longer_words_than_the_limit(monkeypatch):
     assert holonomy.MAX_WORD_LENGTH >= 11         # the ROADMAP row
     gens = [AffineLine(1, Fraction(0)), AffineLine(0, Fraction(1))]
     monkeypatch.setattr(holonomy, "MAX_WORD_LENGTH", 3)
+    holonomy._ball.cache_clear()
     calls = _count_gcd(monkeypatch)
     assert stabilizer_search(gens, Fraction(-1), 3).structure == "cyclic"
     assert calls[0] > 0
@@ -444,6 +474,63 @@ def test_stabilizer_refuses_a_ball_above_the_map_limit(monkeypatch):
                                  "maps that stabilizer_search explores$"
                                  % max_len):
             stabilizer_search(gens, Fraction(-1), max_len)
+
+
+def test_cold_and_warm_searches_give_equal_reports():
+    gens = [AffineLine(1, Fraction(0)), AffineLine(0, Fraction(1))]
+    cold = []
+    for x in _closed_form_xs():
+        holonomy._ball.cache_clear()
+        cold.append(stabilizer_search(gens, x, 8).to_json())
+    warm = [stabilizer_search(gens, x, 8).to_json()
+            for x in _closed_form_xs()]
+    assert holonomy._ball.cache_info().hits >= 245
+    assert warm == cold
+
+
+def test_a_warm_search_composes_no_map(monkeypatch):
+    # 1/10007 has no witness within 11 letters, so the search builds no
+    # Fraction either; only the first search composes the ball's maps
+    gens = [AffineLine(1, Fraction(0)), AffineLine(0, Fraction(1))]
+    x = Fraction(1, 10007)
+    holonomy._ball.cache_clear()
+    calls = _count_gcd(monkeypatch)
+    assert stabilizer_search(gens, x, 11).structure == "trivial"
+    assert calls[0] >= 7666
+    calls[0] = 0
+    assert stabilizer_search(gens, x, 11).structure == "trivial"
+    assert calls[0] == 0
+
+
+def test_a_lowered_map_limit_refuses_a_warm_search(monkeypatch):
+    # the limit is read at each call, so a ball held from a search at
+    # the old limit is not reused at the new one
+    gens = [AffineLine(1, Fraction(0)), AffineLine(0, Fraction(1))]
+    assert stabilizer_search(gens, Fraction(-1), 3).structure == "cyclic"
+    assert stabilizer_search(gens, Fraction(-1), 3).structure == "cyclic"
+    monkeypatch.setattr(holonomy, "MAX_SEARCH_MAPS", 17)
+    for _ in range(2):
+        with pytest.raises(DomainError, match="^words of length 3 reach more "
+                                              "than the 17 maps "):
+            stabilizer_search(gens, Fraction(-1), 3)
+    monkeypatch.undo()
+    assert stabilizer_search(gens, Fraction(-1), 3).structure == "cyclic"
+
+
+def test_a_search_with_other_generators_replaces_the_held_ball():
+    bs12 = [AffineLine(1, Fraction(0)), AffineLine(0, Fraction(1))]
+    other = [AffineLine(-1, Fraction(1, 3)), AffineLine(0, Fraction(2, 5))]
+    stabilizer_search(bs12, Fraction(-1), 6)
+    assert holonomy._ball.cache_info().currsize == 1
+    stabilizer_search(other, Fraction(-1), 6)
+    assert holonomy._ball.cache_info().currsize == 1
+    held = holonomy._ball(tuple(other), 6, holonomy.MAX_SEARCH_MAPS)
+    misses = holonomy._ball.cache_info().misses
+    assert holonomy._ball(tuple(other), 6, holonomy.MAX_SEARCH_MAPS) is held
+    # the BS(1,2) ball is gone: searching it again builds it anew
+    stabilizer_search(bs12, Fraction(-1), 6)
+    assert holonomy._ball.cache_info().misses == misses + 1
+    assert holonomy._ball.cache_info().currsize == 1
 
 
 def _reference_stabilizer_search(gens, x, max_len):
